@@ -5,10 +5,7 @@ from .tensors import (
     gamma_fold,
     delta_unfold,
     delta_fold,
-    hadamard,
     frobenius_norm,
-    inner_product,
-    random_normal,
 )
 from .ring import (
     TRCores,
@@ -30,10 +27,7 @@ __all__ = [
     "gamma_fold",
     "delta_unfold",
     "delta_fold",
-    "hadamard",
     "frobenius_norm",
-    "inner_product",
-    "random_normal",
     "TRCores",
     "TRRank",
     "element",

@@ -17,6 +17,7 @@ independent experiment.
 
 import argparse
 import csv
+import math
 import statistics
 import sys
 
@@ -116,10 +117,12 @@ def cmd_complete(args):
             raise SystemExit(f"truth shape {truth.shape} != observed shape {observed.shape}")
     if args.reshape:
         new_shape = args.reshape
-        if int(np.prod(new_shape)) != observed.size:
-            raise SystemExit(
-                f"reshape {new_shape} has {int(np.prod(new_shape))} entries, file has {observed.size}"
-            )
+        if min(new_shape) < 1:
+            raise SystemExit(f"reshape {new_shape} has an extent below 1")
+        # exact: an int64 product of huge extents can wrap to the file's size
+        entries = math.prod(new_shape)
+        if entries != observed.size:
+            raise SystemExit(f"reshape {new_shape} has {entries} entries, file has {observed.size}")
         observed = observed.reshape(new_shape, order="F")
         mask = mask.reshape(new_shape, order="F")
         if truth is not None:

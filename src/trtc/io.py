@@ -11,6 +11,8 @@ NaN marks a missing entry in observed-tensor files; ground-truth files must
 be NaN-free (enforced by require_complete).
 """
 
+import math
+
 import numpy as np
 
 MAGIC = b"TRTC"
@@ -52,7 +54,8 @@ def read_tensor(path, require_complete=False):
     shape = tuple(int(e) for e in np.frombuffer(buf, dtype="<u8", count=order, offset=13))
     if any(e < 1 for e in shape):
         raise TensorFileError(f"{path}: nonpositive extent in {shape}")
-    n_vals = int(np.prod(shape))
+    # exact: an int64 product of huge extents can wrap to a small count
+    n_vals = math.prod(shape)
     start = 13 + 8 * order
     expected = start + 8 * n_vals
     if len(buf) < expected:

@@ -60,6 +60,23 @@ def _data_term(x, cores, n, lam, chain):
     return lam * (delta_unfold(np.asarray(x), n) @ d2c)
 
 
+def _core_update(x, cores, n, lam, shift, terms, chain):
+    # solves G2 (lam Q Q^T + shift I) = lam Delta_n(X) Q^T + sum(terms); the
+    # terms are added one by one after the data term, which fixes the rounding
+    cs = _core_list(cores)
+    core = cs[n - 1]
+    r2 = core.shape[0] * core.shape[2]
+    b = np.zeros((core.shape[1], r2))
+    if lam != 0.0:
+        b += _data_term(x, cs, n, lam, chain)
+    for t in terms:
+        b += t
+    a = shift * np.eye(r2)
+    if lam != 0.0:
+        a += lam * subchain_gram(cs, n)
+    return gamma_fold(ridge_solve(b, a), 2, core.shape)
+
+
 def core_update_olrf(x, cores, aux, duals, n, lam, mu, chain=None):
     """Minimizer of the overlapped-model core sub-objective for core n.
 
@@ -67,18 +84,8 @@ def core_update_olrf(x, cores, aux, duals, n, lam, mu, chain=None):
     each shaped like core n. chain, when given, must equal subchain(cores, n)
     (callers that sweep all cores can reuse partial products).
     """
-    cs = _core_list(cores)
-    core = cs[n - 1]
-    r2 = core.shape[0] * core.shape[2]
-    b = np.zeros((core.shape[1], r2))
-    if lam != 0.0:
-        b += _data_term(x, cs, n, lam, chain)
-    for m_i, y_i in zip(aux, duals):
-        b += mu * gamma_unfold(m_i, 2) + gamma_unfold(y_i, 2)
-    a = 3.0 * mu * np.eye(r2)
-    if lam != 0.0:
-        a += lam * subchain_gram(cs, n)
-    return gamma_fold(ridge_solve(b, a), 2, core.shape)
+    terms = [mu * gamma_unfold(m_i, 2) + gamma_unfold(y_i, 2) for m_i, y_i in zip(aux, duals)]
+    return _core_update(x, cores, n, lam, 3.0 * mu, terms, chain)
 
 
 def core_update_llrf(x, cores, latent, dual, n, lam, mu, chain=None):
@@ -87,16 +94,5 @@ def core_update_llrf(x, cores, latent, dual, n, lam, mu, chain=None):
     latent holds the three latent tensors W_ni; dual is the single
     multiplier Y_n for the constraint sum_i W_ni = G_n.
     """
-    cs = _core_list(cores)
-    core = cs[n - 1]
-    r2 = core.shape[0] * core.shape[2]
-    b = np.zeros((core.shape[1], r2))
-    if lam != 0.0:
-        b += _data_term(x, cs, n, lam, chain)
-    for w_i in latent:
-        b += mu * gamma_unfold(w_i, 2)
-    b += gamma_unfold(dual, 2)
-    a = mu * np.eye(r2)
-    if lam != 0.0:
-        a += lam * subchain_gram(cs, n)
-    return gamma_fold(ridge_solve(b, a), 2, core.shape)
+    terms = [mu * gamma_unfold(w_i, 2) for w_i in latent] + [gamma_unfold(dual, 2)]
+    return _core_update(x, cores, n, lam, mu, terms, chain)

@@ -1,11 +1,20 @@
 """ADMM completion solvers on the tensor-ring format.
 
-Two models over the same splitting scheme:
+One ADMM loop (Boyd et al. 2011) serves both models of the paper. A model
+is a small strategy class that says only what differs between them:
 
-  olrf (overlapped): each core carries three auxiliary tensors M_ni, one per
-      unfolding, each pushed toward low rank by SVT.
-  llrf (latent): each core is the sum of three latent tensors W_ni, each
-      low-rank in one unfolding, with a single multiplier per core.
+  olrf (overlapped, _Overlapped): each core G_n carries three auxiliary
+      tensors M_ni, one per unfolding, each with its own multiplier Y_ni and
+      the constraint M_ni = G_n.
+  llrf (latent, _Latent): each core is the sum of three latent tensors W_ni,
+      each low-rank in one unfolding, with a single multiplier Y_n for the
+      constraint sum_i W_ni = G_n.
+
+A model supplies new_multipliers(core), core_update(...) (the exact
+minimizer of its core sub-objective), svt_target(...) (the tensor whose
+i-th unfolding is thresholded into aux[i]) and dual_step(...) (multiplier
+ascent, returning the norm of the constraint residual). Adding a third model is one
+class and one entry in MODELS.
 
 Per iteration, in order: sweep the cores n = 1..N (Gauss-Seidel, each update
 sees the cores already refreshed this sweep), update the auxiliary/latent
@@ -43,9 +52,6 @@ class SolverConfig:
     tol: float = 1e-6
     max_iters: int = 500
     seed: int = 0
-    # take mu <- max(rho*mu, mu_max) literally instead of capping: mu jumps
-    # to mu_max at once and then grows without bound. Kept as a switch.
-    mu_literal_max: bool = False
 
     def __post_init__(self):
         if not isinstance(self.tr_rank, TRRank):
@@ -63,23 +69,12 @@ class SolverConfig:
 
 
 @dataclass
-class OlrfState:
+class State:
     x: np.ndarray
     cores: list
-    aux: list        # aux[n][i], shaped like core n
-    multipliers: list
+    aux: list          # aux[n][i], shaped like core n: M_ni (olrf) or W_ni (llrf)
+    multipliers: list  # per core: [Y_n1, Y_n2, Y_n3] (olrf) or Y_n (llrf)
     mu: float
-    iter: int = 0
-
-
-@dataclass
-class LlrfState:
-    x: np.ndarray
-    cores: list
-    latent: list     # latent[n][i], shaped like core n
-    multipliers: list
-    mu: float
-    iter: int = 0
 
 
 @dataclass
@@ -137,10 +132,61 @@ def _validate(observed, mask, cfg):
     return observed, mask
 
 
+class _Overlapped:
+    @staticmethod
+    def new_multipliers(core):
+        return [np.zeros_like(core) for _ in range(3)]
+
+    # the kernels are looked up as module attributes at call time, so a
+    # profiler that rebinds them (perfbench/tracing.py) sees every call
+    @staticmethod
+    def core_update(x, cores, aux, y, n, lam, mu, chain):
+        return core_update_olrf(x, cores, aux, y, n, lam, mu, chain=chain)
+
+    @staticmethod
+    def svt_target(g, aux, y, i, mu):
+        return g - y[i] / mu
+
+    @staticmethod
+    def dual_step(g, aux, y, mu):
+        res = 0.0
+        for i in range(3):
+            y[i] += mu * (aux[i] - g)
+            res = max(res, np.linalg.norm(aux[i] - g))
+        return res
+
+
+class _Latent:
+    @staticmethod
+    def new_multipliers(core):
+        return np.zeros_like(core)
+
+    @staticmethod
+    def core_update(x, cores, aux, y, n, lam, mu, chain):
+        return core_update_llrf(x, cores, aux, y, n, lam, mu, chain=chain)
+
+    @staticmethod
+    def svt_target(g, aux, y, i, mu):
+        # Gauss-Seidel over the three latent tensors, freshest first
+        others = sum(aux[j] for j in range(3) if j != i)
+        return g - y / mu - others
+
+    @staticmethod
+    def dual_step(g, aux, y, mu):
+        wsum = sum(aux)
+        y += mu * (wsum - g)
+        return np.linalg.norm(wsum - g)
+
+
+MODELS = {"olrf": _Overlapped, "llrf": _Latent}
+
+
 def init_state(observed, mask, cfg, model="olrf"):
-    """Initial solver state: N(0,1) cores, zero auxiliaries and multipliers,
-    x = observed with missing entries set to zero."""
-    observed, mask = _validate(observed, mask, cfg)
+    """Initial solver state for validated input: N(0,1) cores, zero
+    auxiliaries and multipliers, x = observed with missing entries set to
+    zero."""
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}")
     shape = observed.shape
     ranks = cfg.tr_rank.ranks
     n_modes = len(shape)
@@ -149,25 +195,13 @@ def init_state(observed, mask, cfg, model="olrf"):
         rng.standard_normal((ranks[i], shape[i], ranks[(i + 1) % n_modes]))
         for i in range(n_modes)
     ]
-    x0 = np.where(mask, observed, 0.0)
-    zeros3 = lambda c: [np.zeros_like(c) for _ in range(3)]
-    if model == "olrf":
-        return OlrfState(
-            x=x0,
-            cores=cores,
-            aux=[zeros3(c) for c in cores],
-            multipliers=[zeros3(c) for c in cores],
-            mu=cfg.mu0,
-        )
-    if model == "llrf":
-        return LlrfState(
-            x=x0,
-            cores=cores,
-            latent=[zeros3(c) for c in cores],
-            multipliers=[np.zeros_like(c) for c in cores],
-            mu=cfg.mu0,
-        )
-    raise ValueError(f"unknown model {model!r}")
+    return State(
+        x=np.where(mask, observed, 0.0),
+        cores=cores,
+        aux=[[np.zeros_like(c) for _ in range(3)] for c in cores],
+        multipliers=[MODELS[model].new_multipliers(c) for c in cores],
+        mu=cfg.mu0,
+    )
 
 
 def _suffix_chains(cores):
@@ -188,17 +222,16 @@ def _combine(sfx, pfx):
     return _merge(sfx, pfx)
 
 
-def _solve(model, observed, mask, cfg, truth=None):
+def _solve(name, observed, mask, cfg, truth=None):
     observed, mask = _validate(observed, mask, cfg)
     shape = observed.shape
     n_modes = observed.ndim
-    state = init_state(observed, mask, cfg, model)
+    state = init_state(observed, mask, cfg, name)
+    model = MODELS[name]
     cores = state.cores
-    x = state.x
+    obs = x = state.x
     mu = state.mu
-    lam = cfg.lam
 
-    obs = np.where(mask, observed, 0.0)
     obs_norm = np.linalg.norm(obs)
     if obs_norm == 0.0:
         raise ValueError("observed entries are all zero")
@@ -217,68 +250,32 @@ def _solve(model, observed, mask, cfg, truth=None):
             prefix = None
             for n in range(1, n_modes + 1):
                 chain = _combine(sfx[n], prefix)
-                if model == "olrf":
-                    g = core_update_olrf(
-                        x, cores, state.aux[n - 1], state.multipliers[n - 1],
-                        n, lam, mu, chain=chain,
-                    )
-                else:
-                    g = core_update_llrf(
-                        x, cores, state.latent[n - 1], state.multipliers[n - 1],
-                        n, lam, mu, chain=chain,
-                    )
+                g = model.core_update(
+                    x, cores, state.aux[n - 1], state.multipliers[n - 1], n, cfg.lam, mu, chain,
+                )
                 cores[n - 1] = g
                 if n < n_modes:
                     prefix = g if prefix is None else _merge(prefix, g)
 
             beta = 1.0 / mu
-            if model == "olrf":
-                for n in range(n_modes):
-                    g = cores[n]
-                    for i in range(3):
-                        target = g - state.multipliers[n][i] / mu
-                        hit = svt(gamma_unfold(target, i + 1), beta).matrix
-                        state.aux[n][i] = gamma_fold(hit, i + 1, g.shape)
-            else:
-                # Gauss-Seidel over the three latent tensors, freshest first
-                for n in range(n_modes):
-                    g = cores[n]
-                    y = state.multipliers[n]
-                    for i in range(3):
-                        others = sum(state.latent[n][j] for j in range(3) if j != i)
-                        target = g - y / mu - others
-                        hit = svt(gamma_unfold(target, i + 1), beta).matrix
-                        state.latent[n][i] = gamma_fold(hit, i + 1, g.shape)
+            for g, aux, y in zip(cores, state.aux, state.multipliers):
+                for i in range(3):
+                    target = model.svt_target(g, aux, y, i, mu)
+                    hit = svt(gamma_unfold(target, i + 1), beta).matrix
+                    aux[i] = gamma_fold(hit, i + 1, g.shape)
 
             z = _trace_contract(prefix, cores[-1]).reshape(shape, order="F")
         except np.linalg.LinAlgError as e:
-            raise DivergenceError(f"{model} iterate became non-finite at iteration {it}: {e}") from e
+            raise DivergenceError(f"{name} iterate became non-finite at iteration {it}: {e}") from e
 
         x_new = np.where(mask, obs, z)
         rel = float(np.linalg.norm(x_new - x) / obs_norm)
         x = x_new
 
-        if model == "olrf":
-            cons = 0.0
-            for n in range(n_modes):
-                g = cores[n]
-                gn = np.linalg.norm(g) or 1.0
-                for i in range(3):
-                    state.multipliers[n][i] += mu * (state.aux[n][i] - g)
-                    cons = max(cons, np.linalg.norm(state.aux[n][i] - g) / gn)
-        else:
-            cons = 0.0
-            for n in range(n_modes):
-                g = cores[n]
-                gn = np.linalg.norm(g) or 1.0
-                wsum = sum(state.latent[n])
-                state.multipliers[n] += mu * (wsum - g)
-                cons = max(cons, np.linalg.norm(wsum - g) / gn)
-
-        if cfg.mu_literal_max:
-            mu = max(cfg.rho * mu, cfg.mu_max)
-        else:
-            mu = min(cfg.rho * mu, cfg.mu_max)
+        cons = 0.0
+        for g, aux, y in zip(cores, state.aux, state.multipliers):
+            cons = max(cons, model.dual_step(g, aux, y, mu) / (np.linalg.norm(g) or 1.0))
+        mu = min(cfg.rho * mu, cfg.mu_max)
 
         rel_hist.append(rel)
         cons_hist.append(float(cons))
@@ -290,7 +287,7 @@ def _solve(model, observed, mask, cfg, truth=None):
             blowups += 1
             if blowups >= 10:
                 raise DivergenceError(
-                    f"{model} relative change above 1e3 for 10 consecutive iterations (iteration {it})"
+                    f"{name} relative change above 1e3 for 10 consecutive iterations (iteration {it})"
                 )
         else:
             blowups = 0
@@ -299,9 +296,6 @@ def _solve(model, observed, mask, cfg, truth=None):
             converged = True
             break
 
-    state.x = x
-    state.mu = mu
-    state.iter = it
     return SolveReport(
         iterations=it,
         converged=converged,

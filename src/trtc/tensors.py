@@ -63,30 +63,5 @@ def delta_fold(m, n, shape):
     return m.reshape(cyc, order="F").transpose(inv)
 
 
-def hadamard(a, b):
-    """Elementwise product of two same-shape tensors."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return a * b
-
-
-def inner_product(a, b):
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.dot(a.ravel(), b.ravel()))
-
-
 def frobenius_norm(t):
     return float(np.linalg.norm(np.asarray(t).ravel()))
-
-
-def random_normal(shape, mean=0.0, stddev=1.0, seed=0):
-    """Deterministic i.i.d. normal tensor for the given seed."""
-    if stddev < 0:
-        raise ValueError("stddev must be nonnegative")
-    rng = np.random.default_rng(seed)
-    return rng.normal(loc=mean, scale=stddev, size=tuple(shape))

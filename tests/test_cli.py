@@ -115,6 +115,18 @@ def test_complete_reshape_product_mismatch_fails(tmp_path):
               "--rank", "2,2", "--reshape", "5,13", "--out", f"{tmp_path}/mfit"])
 
 
+@pytest.mark.parametrize("extents", [
+    "7,7905747460161236416",  # int64 product wraps to 64, the file's size
+    "-2,-32",  # product 64, but no extent may be below 1
+])
+def test_complete_reshape_rejects_bad_extents(tmp_path, extents):
+    main(["synth", "--shape", "4,4,4", "--rank", "2,2,2", "--missing-rate", "0.3",
+          "--seed", "2", "--out", f"{tmp_path}/m"])
+    with pytest.raises(SystemExit, match="reshape"):
+        main(["complete", "--in", f"{tmp_path}/m_observed.trtc", "--solver", "llrf",
+              "--rank", "2,2", f"--reshape={extents}", "--out", f"{tmp_path}/mfit"])
+
+
 def test_sweep_csv_schema_and_determinism(tmp_path):
     args = ["sweep", "--axis", "missing-rate", "--grid", "0.3,0.6",
             "--shape", "6,6,6", "--rank", "2,2,2", "--repeats", "2",

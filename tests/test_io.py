@@ -96,6 +96,14 @@ def test_truncated_payload(tmp_path):
         read_tensor(p)
 
 
+def test_huge_extents_without_payload_are_truncated(tmp_path):
+    # 2^32 * 2^32 wraps to 0 in int64; the count must stay exact
+    p = tmp_path / "x.trtc"
+    p.write_bytes(b"TRTC" + bytes([1]) + np.array([2, 2**32, 2**32], dtype="<u8").tobytes())
+    with pytest.raises(TensorFileError, match="truncated payload"):
+        read_tensor(p)
+
+
 def test_trailing_bytes_rejected(tmp_path):
     t = np.ones((3, 3))
     p = tmp_path / "x.trtc"

@@ -168,14 +168,6 @@ def test_mu_schedule_capped():
     assert max(mus) <= 1.05 + 1e-15
 
 
-def test_mu_schedule_literal_max_grows_unbounded():
-    truth, mask, obs = order4_instance()
-    cfg = SolverConfig(tr_rank=(4, 5, 4, 5), mu_max=100.0, max_iters=5, mu_literal_max=True)
-    rep = solve_olrf(obs, mask, cfg)
-    assert rep.mu_history[1] == 100.0
-    assert rep.mu_history[-1] > 100.0
-
-
 @pytest.mark.parametrize("name,solver", SOLVERS)
 def test_divergence_guard_on_overflowing_data(name, solver):
     truth, mask = synth_instance((4, 4, 4), (2, 2, 2), 0.3, 1, std=0.5)

@@ -1,4 +1,4 @@
-"""Unfolding/folding conventions, elementwise ops, seeded RNG."""
+"""Unfolding/folding conventions and the Frobenius norm."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,7 @@ from trtc import (
     gamma_fold,
     delta_unfold,
     delta_fold,
-    hadamard,
-    inner_product,
     frobenius_norm,
-    random_normal,
 )
 
 
@@ -119,36 +116,6 @@ def test_fold_dimension_mismatch_raises():
         delta_fold(m, 1, (2, 2, 2))
 
 
-def test_hadamard_identity_and_absorbing():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((3, 4, 2))
-    np.testing.assert_array_equal(hadamard(a, np.ones_like(a)), a)
-    np.testing.assert_array_equal(hadamard(a, np.zeros_like(a)), np.zeros_like(a))
-
-
-def test_hadamard_matches_scalar_loop():
-    rng = np.random.default_rng(6)
-    a = rng.standard_normal((3, 4, 2))
-    b = rng.standard_normal((3, 4, 2))
-    h = hadamard(a, b)
-    for idx in np.ndindex(*a.shape):
-        assert h[idx] == a[idx] * b[idx]
-
-
-def test_hadamard_commutative_associative():
-    rng = np.random.default_rng(7)
-    a, b, c = (rng.standard_normal((2, 3, 2)) for _ in range(3))
-    np.testing.assert_allclose(hadamard(a, b), hadamard(b, a), rtol=1e-12)
-    np.testing.assert_allclose(
-        hadamard(hadamard(a, b), c), hadamard(a, hadamard(b, c)), rtol=1e-12
-    )
-
-
-def test_hadamard_shape_mismatch_raises():
-    with pytest.raises(ValueError):
-        hadamard(np.zeros((2, 3)), np.zeros((3, 2)))
-
-
 def test_frobenius_norm_basics():
     assert frobenius_norm(np.zeros((3, 3, 3))) == 0.0
     t = np.zeros((2, 4))
@@ -161,33 +128,4 @@ def test_norm_squared_equals_self_inner_product():
     for _ in range(50):
         order = rng.integers(1, 5)
         t = rng.standard_normal(tuple(rng.integers(2, 5, size=order)))
-        np.testing.assert_allclose(frobenius_norm(t) ** 2, inner_product(t, t), rtol=1e-12)
-
-
-def test_inner_product_shape_mismatch_raises():
-    with pytest.raises(ValueError):
-        inner_product(np.zeros((2, 2)), np.zeros((2, 3)))
-
-
-def test_random_normal_zero_stddev_is_constant():
-    t = random_normal((4, 3), mean=2.5, stddev=0.0, seed=0)
-    np.testing.assert_array_equal(t, np.full((4, 3), 2.5))
-
-
-def test_random_normal_deterministic():
-    a = random_normal((5, 5, 5), mean=0.0, stddev=1.0, seed=42)
-    b = random_normal((5, 5, 5), mean=0.0, stddev=1.0, seed=42)
-    np.testing.assert_array_equal(a, b)
-    c = random_normal((5, 5, 5), mean=0.0, stddev=1.0, seed=43)
-    assert not np.array_equal(a, c)
-
-
-def test_random_normal_moments():
-    t = random_normal((100000,), mean=0.0, stddev=1.0, seed=9)
-    assert abs(t.mean()) < 0.02
-    assert abs(t.std() - 1.0) < 0.02
-
-
-def test_random_normal_negative_stddev_raises():
-    with pytest.raises(ValueError):
-        random_normal((3,), mean=0.0, stddev=-1.0, seed=0)
+        np.testing.assert_allclose(frobenius_norm(t) ** 2, float(np.dot(t.ravel(), t.ravel())), rtol=1e-12)
