@@ -1,45 +1,22 @@
-"""Tensor-ring tensor completion toolkit."""
+"""Tensor-ring tensor completion toolkit.
 
-from .tensors import (
-    gamma_unfold,
-    gamma_fold,
-    delta_unfold,
-    delta_fold,
-    frobenius_norm,
-)
-from .ring import (
-    TRCores,
-    TRRank,
-    element,
-    reconstruct,
-    subchain,
-    subchain_gram,
-    eq2_residual,
-    numerical_rank,
-    rank_inequality_check,
-)
-from .prox import SVTResult, svt, ridge_solve, core_update_olrf, core_update_llrf
+The top level exports the solve-and-check surface; the kernels (unfoldings,
+subchains, ridge solves) are imported from their own modules.
+"""
+
+from .tensors import frobenius_norm
+from .ring import TRCores, reconstruct, eq2_residual, rank_inequality_check
+from .prox import svt, core_update_olrf, core_update_llrf
 from .solvers import SolverConfig, SolveReport, DivergenceError, solve_olrf, solve_llrf, rse
 from .io import read_tensor, write_tensor, TensorFileError
 
 __all__ = [
-    "gamma_unfold",
-    "gamma_fold",
-    "delta_unfold",
-    "delta_fold",
     "frobenius_norm",
     "TRCores",
-    "TRRank",
-    "element",
     "reconstruct",
-    "subchain",
-    "subchain_gram",
     "eq2_residual",
-    "numerical_rank",
     "rank_inequality_check",
-    "SVTResult",
     "svt",
-    "ridge_solve",
     "core_update_olrf",
     "core_update_llrf",
     "SolverConfig",

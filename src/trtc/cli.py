@@ -23,8 +23,8 @@ import sys
 
 import numpy as np
 
-from .io import read_tensor, write_tensor
-from .ring import TRRank
+from .io import TensorFileError, read_tensor, write_tensor
+from .ring import TRRank, reconstruct
 from .solvers import SolverConfig, rse, solve_llrf, solve_olrf
 
 SOLVERS = {"olrf": solve_olrf, "llrf": solve_llrf}
@@ -39,10 +39,12 @@ def synth_instance(shape, ranks, missing_rate, seed, std=0.5):
     exactly floor(missing_rate * size) entries chosen without replacement
     from stream [seed, 1]. Returns (truth, mask).
     """
-    from .ring import reconstruct
-
     shape = tuple(shape)
-    ranks = tuple(ranks)
+    ranks = TRRank(ranks).ranks
+    if len(ranks) != len(shape):
+        raise ValueError(f"rank vector of length {len(ranks)} does not match order {len(shape)}")
+    if min(shape) < 1:
+        raise ValueError(f"shape {shape} has an extent below 1")
     if not 0.0 <= missing_rate < 1.0:
         raise ValueError("missing rate must be in [0, 1)")
     n = len(shape)
@@ -60,12 +62,6 @@ def synth_instance(shape, ranks, missing_rate, seed, std=0.5):
         flat[drop] = False
     mask = flat.reshape(shape, order="F")
     return truth, mask
-
-
-def observed_from(truth, mask):
-    observed = np.asarray(truth, dtype=float).copy()
-    observed[~mask] = np.nan
-    return observed
 
 
 # ------------------------------------------------------------------ helpers
@@ -90,11 +86,9 @@ def _write_csv(path, kind, header, rows):
         w.writerows(rows)
 
 
-def _solve_file_pair(observed, mask, ranks, solver, lam, tol, max_iters, seed, truth=None):
-    cfg = SolverConfig(
-        tr_rank=TRRank(ranks), lam=lam, tol=tol, max_iters=max_iters, seed=seed,
-    )
-    return SOLVERS[solver](observed, mask, cfg, truth=truth)
+def _solve_file_pair(observed, mask, ranks, solver, lam, tol, max_iters, seed):
+    cfg = SolverConfig(tr_rank=ranks, lam=lam, tol=tol, max_iters=max_iters, seed=seed)
+    return SOLVERS[solver](observed, mask, cfg)
 
 
 # ----------------------------------------------------------------- commands
@@ -102,7 +96,7 @@ def _solve_file_pair(observed, mask, ranks, solver, lam, tol, max_iters, seed, t
 def cmd_synth(args):
     truth, mask = synth_instance(args.shape, args.rank, args.missing_rate, args.seed, args.std)
     write_tensor(truth, f"{args.out}_truth.trtc")
-    write_tensor(observed_from(truth, mask), f"{args.out}_observed.trtc")
+    write_tensor(np.where(mask, truth, np.nan), f"{args.out}_observed.trtc")
     print(f"wrote {args.out}_truth.trtc and {args.out}_observed.trtc "
           f"({(~mask).sum()} of {truth.size} entries missing)")
     return 0
@@ -128,9 +122,10 @@ def cmd_complete(args):
         if truth is not None:
             truth = truth.reshape(new_shape, order="F")
 
+    # the truth only scores the final tensor, below
     report = _solve_file_pair(
         observed, mask, args.rank, args.solver, args.lam, args.tol,
-        args.max_iters, args.seed, truth,
+        args.max_iters, args.seed,
     )
     write_tensor(report.final_x, f"{args.out}_completed.trtc")
     for k, core in enumerate(report.final_cores, start=1):
@@ -225,7 +220,7 @@ def bench_point(order, extent, rank, solver, iters, seed, missing_rate=0.5):
     ranks = (rank,) * order
     truth, mask = synth_instance(shape, ranks, missing_rate, seed)
     observed = np.where(mask, truth, np.nan)
-    cfg = SolverConfig(tr_rank=TRRank(ranks), tol=1e-12, max_iters=iters + 1, seed=seed)
+    cfg = SolverConfig(tr_rank=ranks, tol=1e-12, max_iters=iters + 1, seed=seed)
     report = SOLVERS[solver](observed, mask, cfg)
     times = report.iter_times[1:] or report.iter_times
     return float(np.median(times)), float(np.mean(times))
@@ -318,7 +313,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, TensorFileError) as e:
+        raise SystemExit(str(e)) from e
 
 
 if __name__ == "__main__":

@@ -21,15 +21,14 @@ from .ring import _core_list, subchain, subchain_gram
 @dataclass
 class SVTResult:
     matrix: np.ndarray
-    nuclear_norm_after: float
     effective_rank: int
 
 
 def svt(a, beta):
     """Singular value thresholding, the prox operator of beta * nuclear norm.
 
-    Returns U max(S - beta, 0) V^T together with the surviving nuclear norm
-    and the number of singular values above the threshold.
+    Returns U max(S - beta, 0) V^T together with the number of singular
+    values above the threshold.
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
@@ -37,7 +36,7 @@ def svt(a, beta):
     shrunk = np.maximum(s - beta, 0.0)
     keep = int(np.count_nonzero(shrunk))
     m = (u[:, :keep] * shrunk[:keep]) @ vt[:keep]
-    return SVTResult(matrix=m, nuclear_norm_after=float(shrunk.sum()), effective_rank=keep)
+    return SVTResult(matrix=m, effective_rank=keep)
 
 
 def ridge_solve(b, a):
@@ -67,13 +66,11 @@ def _core_update(x, cores, n, lam, shift, terms, chain):
     core = cs[n - 1]
     r2 = core.shape[0] * core.shape[2]
     b = np.zeros((core.shape[1], r2))
-    if lam != 0.0:
-        b += _data_term(x, cs, n, lam, chain)
+    b += _data_term(x, cs, n, lam, chain)
     for t in terms:
         b += t
     a = shift * np.eye(r2)
-    if lam != 0.0:
-        a += lam * subchain_gram(cs, n)
+    a += lam * subchain_gram(cs, n)
     return gamma_fold(ridge_solve(b, a), 2, core.shape)
 
 

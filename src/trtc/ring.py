@@ -5,7 +5,6 @@ G_n of shape (R_n, I_n, R_{n+1}) with R_{N+1} = R_1. Entry (i_1,...,i_N) is
 Trace(G_1(i_1) @ ... @ G_N(i_N)) where G_n(i) = cores[n][:, i, :].
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +14,7 @@ from .tensors import delta_unfold, gamma_unfold
 
 @dataclass(frozen=True)
 class TRRank:
-    """TR-rank vector (R_1,...,R_N); ssr is its sum of square roots."""
+    """TR-rank vector (R_1,...,R_N)."""
 
     ranks: tuple
 
@@ -25,10 +24,6 @@ class TRRank:
             raise ValueError("TR-rank needs at least two entries")
         if any(r < 1 for r in self.ranks):
             raise ValueError("ranks must be positive")
-
-    @property
-    def ssr(self):
-        return float(sum(math.sqrt(r) for r in self.ranks))
 
     def __len__(self):
         return len(self.ranks)
@@ -117,10 +112,7 @@ def _trace_contract(acc, last):
 def reconstruct(cores):
     """Dense tensor represented by the cores, via sequential contraction."""
     cs = _core_list(cores)
-    acc = cs[0]
-    for c in cs[1:-1]:
-        acc = _merge(acc, c)
-    z = _trace_contract(acc, cs[-1])
+    z = _trace_contract(subchain(cs, len(cs)), cs[-1])
     return z.reshape(tuple(c.shape[1] for c in cs), order="F")
 
 

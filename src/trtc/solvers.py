@@ -37,6 +37,12 @@ from .tensors import gamma_unfold, gamma_fold
 from .ring import TRCores, TRRank, _merge, _trace_contract
 from .prox import svt, core_update_olrf, core_update_llrf
 
+# penalty schedule, the same for every solve: mu starts at _MU0 and grows
+# by _RHO per iteration up to _MU_MAX
+_MU0 = 1.0
+_MU_MAX = 100.0
+_RHO = 1.01
+
 
 class DivergenceError(RuntimeError):
     """Raised when the iteration blows up instead of converging."""
@@ -46,9 +52,6 @@ class DivergenceError(RuntimeError):
 class SolverConfig:
     tr_rank: TRRank
     lam: float = 10.0
-    mu0: float = 1.0
-    mu_max: float = 100.0
-    rho: float = 1.01
     tol: float = 1e-6
     max_iters: int = 500
     seed: int = 0
@@ -58,10 +61,6 @@ class SolverConfig:
             self.tr_rank = TRRank(tuple(self.tr_rank))
         if self.lam <= 0:
             raise ValueError("lam must be positive")
-        if self.mu0 <= 0 or self.mu_max <= 0 or self.mu0 > self.mu_max:
-            raise ValueError("need 0 < mu0 <= mu_max")
-        if self.rho < 1:
-            raise ValueError("rho must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
@@ -74,7 +73,6 @@ class State:
     cores: list
     aux: list          # aux[n][i], shaped like core n: M_ni (olrf) or W_ni (llrf)
     multipliers: list  # per core: [Y_n1, Y_n2, Y_n3] (olrf) or Y_n (llrf)
-    mu: float
 
 
 @dataclass
@@ -151,8 +149,9 @@ class _Overlapped:
     def dual_step(g, aux, y, mu):
         res = 0.0
         for i in range(3):
-            y[i] += mu * (aux[i] - g)
-            res = max(res, np.linalg.norm(aux[i] - g))
+            diff = aux[i] - g
+            y[i] += mu * diff
+            res = max(res, np.linalg.norm(diff))
         return res
 
 
@@ -173,9 +172,9 @@ class _Latent:
 
     @staticmethod
     def dual_step(g, aux, y, mu):
-        wsum = sum(aux)
-        y += mu * (wsum - g)
-        return np.linalg.norm(wsum - g)
+        diff = sum(aux) - g
+        y += mu * diff
+        return np.linalg.norm(diff)
 
 
 MODELS = {"olrf": _Overlapped, "llrf": _Latent}
@@ -200,7 +199,6 @@ def init_state(observed, mask, cfg, model="olrf"):
         cores=cores,
         aux=[[np.zeros_like(c) for _ in range(3)] for c in cores],
         multipliers=[MODELS[model].new_multipliers(c) for c in cores],
-        mu=cfg.mu0,
     )
 
 
@@ -230,7 +228,7 @@ def _solve(name, observed, mask, cfg, truth=None):
     model = MODELS[name]
     cores = state.cores
     obs = x = state.x
-    mu = state.mu
+    mu = _MU0
 
     obs_norm = np.linalg.norm(obs)
     if obs_norm == 0.0:
@@ -275,7 +273,7 @@ def _solve(name, observed, mask, cfg, truth=None):
         cons = 0.0
         for g, aux, y in zip(cores, state.aux, state.multipliers):
             cons = max(cons, model.dual_step(g, aux, y, mu) / (np.linalg.norm(g) or 1.0))
-        mu = min(cfg.rho * mu, cfg.mu_max)
+        mu = min(_RHO * mu, _MU_MAX)
 
         rel_hist.append(rel)
         cons_hist.append(float(cons))

@@ -4,6 +4,7 @@ import csv
 import numpy as np
 import pytest
 
+import trtc.solvers
 from trtc.cli import main, synth_instance, run_sweep, run_bench
 from trtc import read_tensor, reconstruct
 
@@ -125,6 +126,54 @@ def test_complete_reshape_rejects_bad_extents(tmp_path, extents):
     with pytest.raises(SystemExit, match="reshape"):
         main(["complete", "--in", f"{tmp_path}/m_observed.trtc", "--solver", "llrf",
               "--rank", "2,2", f"--reshape={extents}", "--out", f"{tmp_path}/mfit"])
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--shape", "4,4,4", "--rank", "2,2"], "rank vector of length 2"),
+    (["--shape=-2,3", "--rank", "2,2"], "extent below 1"),
+    (["--shape", "4,4,4", "--rank", "2,0,2"], "ranks must be positive"),
+])
+def test_synth_bad_shape_or_rank_exits_with_message(tmp_path, argv, message):
+    with pytest.raises(SystemExit, match=message):
+        main(["synth", *argv, "--out", f"{tmp_path}/bad"])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--rank", "2,2"], "rank vector of length 2"),
+    (["--rank", "0,2,2"], "ranks must be positive"),
+    (["--rank", "2,2,2", "--lambda", "0"], "lam must be positive"),
+    (["--rank", "2,2,2", "--truth", "junk.trtc"], "bad magic"),
+    (["--rank", "2,2,2", "--truth", "absent.trtc"], "No such file"),
+])
+def test_complete_input_errors_exit_with_message(tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    main(["synth", "--shape", "4,4,4", "--rank", "2,2,2", "--missing-rate", "0.3",
+          "--seed", "2", "--out", "m"])
+    (tmp_path / "junk.trtc").write_text("not a tensor file\n")
+    with pytest.raises(SystemExit, match=message):
+        main(["complete", "--in", "m_observed.trtc", *argv, "--out", "mfit"])
+
+
+def test_complete_scores_only_the_final_tensor(tmp_path, monkeypatch):
+    calls = []
+    real_rse = trtc.solvers.rse
+
+    def counted_rse(*args, **kwargs):
+        calls.append(args)
+        return real_rse(*args, **kwargs)
+
+    main(["synth", "--shape", "4,4,4", "--rank", "2,2,2", "--missing-rate", "0.3",
+          "--seed", "2", "--out", f"{tmp_path}/r"])
+    monkeypatch.setattr(trtc.solvers, "rse", counted_rse)
+    main(["complete", "--in", f"{tmp_path}/r_observed.trtc",
+          "--truth", f"{tmp_path}/r_truth.trtc", "--solver", "llrf",
+          "--rank", "2,2,2", "--max-iters", "20", "--out", f"{tmp_path}/rfit"])
+    assert len(calls) == 0
+    _, header, rows = read_csv(f"{tmp_path}/rfit.csv")
+    row = dict(zip(header, rows[0]))
+    assert float(row["rse_all"]) > 0.0
+    assert float(row["rse_missing"]) > 0.0
 
 
 def test_sweep_csv_schema_and_determinism(tmp_path):

@@ -4,19 +4,14 @@ import numpy as np
 import pytest
 
 from trtc import (
-    TRRank,
     TRCores,
-    element,
     reconstruct,
-    subchain,
-    subchain_gram,
     eq2_residual,
-    numerical_rank,
     rank_inequality_check,
-    gamma_unfold,
-    delta_unfold,
     frobenius_norm,
 )
+from trtc.ring import TRRank, element, subchain, subchain_gram, numerical_rank
+from trtc.tensors import gamma_unfold, delta_unfold
 
 
 def random_cores(rng, shape, ranks):
@@ -35,11 +30,6 @@ def element_oracle(cores, idx):
     for c, i in zip(cores, idx):
         acc = acc @ c[:, i, :]
     return float(np.trace(acc))
-
-
-def test_trrank_ssr_hand_value():
-    r = TRRank((4, 5, 4, 5))
-    assert abs(r.ssr - (2 + np.sqrt(5) + 2 + np.sqrt(5))) < 1e-12
 
 
 def test_trrank_validation():

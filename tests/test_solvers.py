@@ -24,17 +24,13 @@ def order4_instance(missing_rate=0.5, seed=0):
 def test_config_defaults_and_coercion():
     cfg = SolverConfig(tr_rank=[4, 5, 4, 5])
     assert cfg.tr_rank.ranks == (4, 5, 4, 5)
-    assert cfg.lam == 10.0 and cfg.mu0 == 1.0 and cfg.mu_max == 100.0
-    assert cfg.rho == 1.01 and cfg.tol == 1e-6 and cfg.max_iters == 500
+    assert cfg.lam == 10.0 and cfg.tol == 1e-6 and cfg.max_iters == 500
 
 
 @pytest.mark.parametrize(
     "kw",
     [
         {"lam": 0.0},
-        {"mu0": 0.0},
-        {"mu0": 5.0, "mu_max": 1.0},
-        {"rho": 0.99},
         {"tol": 0.0},
         {"max_iters": 0},
     ],
@@ -82,7 +78,6 @@ def test_init_state_contract():
     assert all(np.all(m == 0) for per in s1.aux for m in per)
     assert np.all(s1.x[~mask] == 0.0)
     np.testing.assert_array_equal(s1.x[mask], truth[mask])
-    assert s1.mu == cfg.mu0
 
     s3 = init_state(obs, mask, cfg, "llrf")
     assert all(m.shape == c.shape for m, c in zip(s3.multipliers, s3.cores))
@@ -147,6 +142,14 @@ def test_synthetic_recovery_and_consistency(name, solver):
     assert rep.rse_history is not None
     assert len(rep.rse_history) == rep.iterations
     assert rep.rse_history[-1] < 1e-2
+    # mu starts at 1 and grows to its cap of 100, which the olrf solve
+    # (466 iterations) reaches from index 463 on
+    mus = rep.mu_history
+    assert mus[0] == 1.0
+    assert all(b >= a for a, b in zip(mus, mus[1:]))
+    assert max(mus) <= 100.0
+    if name == "olrf":
+        assert mus[-1] == 100.0
 
 
 def test_report_histories_without_truth():
@@ -156,16 +159,6 @@ def test_report_histories_without_truth():
     assert len(rep.rel_change_history) == 5
     assert len(rep.iter_times) == 5
     assert rep.wall_time > 0
-
-
-def test_mu_schedule_capped():
-    truth, mask, obs = order4_instance()
-    cfg = SolverConfig(tr_rank=(4, 5, 4, 5), mu0=1.0, mu_max=1.05, rho=1.01, max_iters=10)
-    rep = solve_olrf(obs, mask, cfg)
-    mus = rep.mu_history
-    assert mus[0] == 1.0
-    assert all(b >= a for a, b in zip(mus, mus[1:]))
-    assert max(mus) <= 1.05 + 1e-15
 
 
 @pytest.mark.parametrize("name,solver", SOLVERS)

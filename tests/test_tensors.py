@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from trtc import (
-    gamma_unfold,
-    gamma_fold,
-    delta_unfold,
-    delta_fold,
-    frobenius_norm,
-)
+from trtc import frobenius_norm
+from trtc.tensors import gamma_unfold, gamma_fold, delta_unfold, delta_fold
 
 
 def canonical(shape):
