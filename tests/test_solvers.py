@@ -31,6 +31,9 @@ def test_config_defaults_and_coercion():
     "kw",
     [
         {"lam": 0.0},
+        {"lam": -1.0},
+        {"tol": -1e-6},
+        {"max_iters": -1},
         {"tol": 0.0},
         {"max_iters": 0},
     ],
