@@ -25,7 +25,7 @@ import numpy as np
 
 from .io import TensorFileError, read_tensor, write_tensor
 from .ring import TRRank, reconstruct
-from .solvers import SolverConfig, rse, solve_llrf, solve_olrf
+from .solvers import DivergenceError, SolverConfig, rse, solve_llrf, solve_olrf
 
 SOLVERS = {"olrf": solve_olrf, "llrf": solve_llrf}
 
@@ -47,6 +47,8 @@ def synth_instance(shape, ranks, missing_rate, seed, std=0.5):
         raise ValueError(f"shape {shape} has an extent below 1")
     if not 0.0 <= missing_rate < 1.0:
         raise ValueError("missing rate must be in [0, 1)")
+    if not 0.0 < std < math.inf:
+        raise ValueError("std must be positive and finite")
     n = len(shape)
     rng_cores = np.random.default_rng([seed, 0])
     cores = [
@@ -315,7 +317,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, TensorFileError) as e:
+    except (OSError, ValueError, TensorFileError, DivergenceError) as e:
         raise SystemExit(str(e)) from e
 
 

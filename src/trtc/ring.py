@@ -74,8 +74,6 @@ class TRCores:
 
 
 def _core_list(cores):
-    if isinstance(cores, TRCores):
-        return list(cores.cores)
     return [np.asarray(c) for c in cores]
 
 

@@ -59,9 +59,10 @@ class SolverConfig:
     def __post_init__(self):
         if not isinstance(self.tr_rank, TRRank):
             self.tr_rank = TRRank(tuple(self.tr_rank))
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.tol <= 0:
+        # written so that NaN fails the checks
+        if not 0 < self.lam < np.inf:
+            raise ValueError("lam must be positive and finite")
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")

@@ -4,6 +4,7 @@ import csv
 import numpy as np
 import pytest
 
+import trtc.cli
 import trtc.solvers
 from trtc.cli import main, synth_instance, run_sweep, run_bench
 from trtc import read_tensor, reconstruct
@@ -139,12 +140,23 @@ def test_synth_bad_shape_or_rank_exits_with_message(tmp_path, argv, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("std", ["nan", "inf", "0"])
+def test_synth_bad_std_exits_with_message(tmp_path, std):
+    with pytest.raises(SystemExit, match="std must be positive and finite"):
+        main(["synth", "--shape", "4,4,4", "--rank", "2,2,2", "--std", std,
+              "--out", f"{tmp_path}/bad"])
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--rank", "2,2"], "rank vector of length 2"),
     (["--rank", "0,2,2"], "ranks must be positive"),
     (["--rank", "2,2,2", "--lambda", "0"], "lam must be positive"),
     (["--rank", "2,2,2", "--truth", "junk.trtc"], "bad magic"),
     (["--rank", "2,2,2", "--truth", "absent.trtc"], "No such file"),
+    (["--rank", "2,2,2", "--lambda", "nan"], "lam must be positive and finite"),
+    (["--rank", "2,2,2", "--lambda", "inf"], "lam must be positive and finite"),
+    (["--rank", "2,2,2", "--tol", "nan"], "tol must be positive"),
 ])
 def test_complete_input_errors_exit_with_message(tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -153,6 +165,17 @@ def test_complete_input_errors_exit_with_message(tmp_path, monkeypatch, argv, me
     (tmp_path / "junk.trtc").write_text("not a tensor file\n")
     with pytest.raises(SystemExit, match=message):
         main(["complete", "--in", "m_observed.trtc", *argv, "--out", "mfit"])
+
+
+def test_complete_divergence_exits_with_message(tmp_path, monkeypatch):
+    def diverging(*args):
+        raise trtc.solvers.DivergenceError("olrf iterate became non-finite at iteration 1")
+
+    main(["synth", "--shape", "4,4,4", "--rank", "2,2,2", "--seed", "2", "--out", f"{tmp_path}/m"])
+    monkeypatch.setitem(trtc.cli.SOLVERS, "olrf", diverging)
+    with pytest.raises(SystemExit, match="non-finite at iteration 1"):
+        main(["complete", "--in", f"{tmp_path}/m_observed.trtc", "--rank", "2,2,2",
+              "--out", f"{tmp_path}/mfit"])
 
 
 def test_complete_scores_only_the_final_tensor(tmp_path, monkeypatch):

@@ -1,4 +1,4 @@
-"""Property tests: fold/unfold round trips and the .trtc file format."""
+"""Property tests: fold/unfold round trips, ring contractions and the .trtc file format."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from trtc import read_tensor, write_tensor, TensorFileError  # noqa: E402
 from trtc.tensors import gamma_unfold, gamma_fold, delta_unfold, delta_fold  # noqa: E402
+from trtc.ring import element, reconstruct, subchain  # noqa: E402
 
 # orders 1-5, extents 1-4; any float64, NaN and infinities included
 ANY_TENSOR = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=5, min_side=1, max_side=4))
@@ -28,6 +29,40 @@ def test_fold_of_unfold_is_bitwise_identity(t):
     for n in range(1, t.ndim + 1):
         assert same_bits(gamma_fold(gamma_unfold(t, n), n, t.shape), t)
         assert same_bits(delta_fold(delta_unfold(t, n), n, t.shape), t)
+
+
+@st.composite
+def rings(draw):
+    # cores of a random ring: order 2-5, extents 1-3, ranks 1-3
+    order = draw(st.integers(2, 5))
+    extents = draw(st.lists(st.integers(1, 3), min_size=order, max_size=order))
+    ranks = draw(st.lists(st.integers(1, 3), min_size=order, max_size=order))
+    values = st.floats(-2.0, 2.0, allow_nan=False)
+    return [
+        draw(hnp.arrays(np.float64, (ranks[i], extents[i], ranks[(i + 1) % order]), elements=values))
+        for i in range(order)
+    ]
+
+
+@given(rings())
+def test_subchain_and_reconstruct_match_element(cores):
+    order = len(cores)
+    for n in range(1, order + 1):
+        chain = subchain(cores, n)
+        others = [cores[(n - 1 + k) % order] for k in range(1, order)]
+        merged = tuple(c.shape[1] for c in others)
+        assert chain.shape == (others[0].shape[0], int(np.prod(merged)), cores[n - 1].shape[0])
+        for j in range(chain.shape[1]):
+            # merged index j runs over (i_{n+1},...,i_N,i_1,...,i_{n-1}), first fastest
+            idx = np.unravel_index(j, merged, order="F")
+            want = others[0][:, idx[0], :]
+            for c, i in zip(others[1:], idx[1:]):
+                want = want @ c[:, i, :]
+            np.testing.assert_allclose(chain[:, j, :], want, rtol=1e-12, atol=1e-12)
+    z = reconstruct(cores)
+    assert z.shape == tuple(c.shape[1] for c in cores)
+    for idx in np.ndindex(z.shape):
+        np.testing.assert_allclose(z[idx], element(cores, idx), rtol=1e-12, atol=1e-12)
 
 
 @st.composite

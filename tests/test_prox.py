@@ -103,6 +103,8 @@ def test_ridge_solve_rejects_bad_systems():
         ridge_solve(b, np.arange(9.0).reshape(3, 3))  # not symmetric
     with pytest.raises(np.linalg.LinAlgError):
         ridge_solve(b, np.full((3, 3), np.inf))
+    with pytest.raises(np.linalg.LinAlgError):
+        ridge_solve(b, np.diag([1.0, -1.0, 1.0]))  # symmetric, indefinite
 
 
 def test_core_update_olrf_zero_lambda_closed_form():

@@ -36,6 +36,9 @@ def test_config_defaults_and_coercion():
         {"max_iters": -1},
         {"tol": 0.0},
         {"max_iters": 0},
+        {"lam": float("nan")},
+        {"lam": float("inf")},
+        {"tol": float("nan")},
     ],
 )
 def test_config_validation(kw):
