@@ -55,7 +55,11 @@ def synth_instance(shape, ranks, missing_rate, seed, std=0.5):
         rng_cores.normal(scale=std, size=(ranks[i], shape[i], ranks[(i + 1) % n]))
         for i in range(n)
     ]
-    truth = reconstruct(cores)
+    # a huge std overflows the reconstruction; that is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        truth = reconstruct(cores)
+    if not np.isfinite(truth).all():
+        raise ValueError(f"std {std} gives a ground truth with non-finite entries")
     size = truth.size
     k = int(np.floor(missing_rate * size))
     flat = np.ones(size, dtype=bool)

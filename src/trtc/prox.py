@@ -10,14 +10,23 @@ regularizer into one tensor reg shaped like core n, so the right-hand side
 has a single unfolding: mu * sum_i M_ni + sum_i Y_ni with shift 3*mu for the
 overlapped model (three auxiliary tensors), mu * sum_i W_ni + Y_n with shift
 mu for the latent model.
+
+The data term Delta_n(X) Q^T is read from the two chains on either side of
+core n, the prefix (cores 1..n-1 merged) and the suffix (cores n+1..N
+merged), so neither the subchain nor an unfolding of X is formed. A solver
+that sweeps the cores passes the (prefix, suffix) pair it already holds;
+without it the pair is built from the cores.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import delta_unfold, gamma_fold, gamma_unfold
-from .ring import _core_list, subchain, subchain_gram
+# delta_unfold is no longer called here; it stays a module attribute because
+# the benchmark's tracer (perfbench/tracing.py) wraps trtc.prox.delta_unfold
+from .tensors import delta_unfold, gamma_fold, gamma_unfold  # noqa: F401
+from .ring import _core_list, prefix_suffix, subchain_gram
 
 
 @dataclass
@@ -57,31 +66,64 @@ def ridge_solve(b, a):
     return np.linalg.solve(a, b.T).T
 
 
-def _core_update(x, cores, n, lam, shift, reg, chain):
+def data_term(x, n, prefix, suffix):
+    """Delta_n(x) @ Delta_2(subchain_n), from the chains on either side of core n.
+
+    prefix is cores 1..n-1 merged, shape (R_1, A, R_n), and suffix is cores
+    n+1..N merged, shape (R_{n+1}, B, R_1); either is None where it has no
+    cores (n = 1, n = N). x is read as its first-index-fastest (A, I_n, B)
+    view, which is free for a Fortran-ordered x. Modes 1 and N take one
+    contraction, against the rank slices of their single chain. Otherwise
+    the larger of A and B is contracted first, in one gemm against its
+    chain, and the small (., I_n, R, R) rest against the other chain.
+    """
+    x = np.asarray(x)
+    i_n = x.shape[n - 1]
+    a = math.prod(x.shape[:n - 1])
+    b = math.prod(x.shape[n:])
+    if prefix is None or suffix is None:
+        # the chain is all other cores, (R_{n+1}, ., R_n): R_1 is R_n or R_{n+1}
+        chain = prefix if suffix is None else suffix
+        xm = x.reshape(i_n, b, order="F") if prefix is None else x.reshape(a, i_n, order="F").T
+        t = np.matmul(xm, chain.transpose(2, 1, 0)).transpose(1, 2, 0)
+    elif b > a:
+        t = x.reshape(a * i_n, b, order="F") @ suffix.transpose(1, 2, 0).reshape(b, -1)
+        t = t.reshape(i_n, a, -1, suffix.shape[0])  # [i_n, j_A, r_1, r_{n+1}]
+        t = np.tensordot(t, prefix, axes=([1, 2], [1, 0]))
+    else:
+        t = x.reshape(a, i_n * b, order="F").T @ prefix.transpose(1, 2, 0).reshape(a, -1)
+        t = t.reshape(b, i_n, prefix.shape[2], -1)  # [j_B, i_n, r_n, r_1]
+        t = np.tensordot(t, suffix, axes=([0, 3], [1, 2])).transpose(0, 2, 1)
+    # t[i_n, r_{n+1}, r_n]: columns of Delta_2 run over (r_n, r_{n+1}), r_n fastest
+    return t.reshape(i_n, -1)
+
+
+def _core_update(x, cores, n, lam, shift, reg, chains):
     # solves G2 (lam Q Q^T + shift I) = lam Delta_n(X) Q^T + Gamma_2(reg)
     cs = _core_list(cores)
     core = cs[n - 1]
-    if chain is None:
-        chain = subchain(cs, n)
-    b = lam * (delta_unfold(x, n) @ delta_unfold(chain, 2)) + gamma_unfold(reg, 2)
+    prefix, suffix = prefix_suffix(cs, n) if chains is None else chains
+    b = lam * data_term(x, n, prefix, suffix) + gamma_unfold(reg, 2)
     a = lam * subchain_gram(cs, n) + shift * np.eye(core.shape[0] * core.shape[2])
     return gamma_fold(ridge_solve(b, a), 2, core.shape)
 
 
-def core_update_olrf(x, cores, aux, duals, n, lam, mu, chain=None):
+def core_update_olrf(x, cores, aux, duals, n, lam, mu, chains=None):
     """Minimizer of the overlapped-model core sub-objective for core n.
 
     aux and duals are the three auxiliary tensors M_ni and multipliers Y_ni,
-    each shaped like core n. chain, when given, must equal subchain(cores, n)
-    (callers that sweep all cores can reuse partial products).
+    each shaped like core n. chains, when given, must equal
+    prefix_suffix(cores, n): a solver that sweeps the cores passes the
+    (prefix, suffix) pair it already holds.
     """
-    return _core_update(x, cores, n, lam, 3.0 * mu, mu * sum(aux) + sum(duals), chain)
+    return _core_update(x, cores, n, lam, 3.0 * mu, mu * sum(aux) + sum(duals), chains)
 
 
-def core_update_llrf(x, cores, latent, dual, n, lam, mu, chain=None):
+def core_update_llrf(x, cores, latent, dual, n, lam, mu, chains=None):
     """Minimizer of the latent-model core sub-objective for core n.
 
     latent holds the three latent tensors W_ni; dual is the single
-    multiplier Y_n for the constraint sum_i W_ni = G_n.
+    multiplier Y_n for the constraint sum_i W_ni = G_n. chains is the
+    (prefix, suffix) pair, as for core_update_olrf.
     """
-    return _core_update(x, cores, n, lam, mu, mu * sum(latent) + dual, chain)
+    return _core_update(x, cores, n, lam, mu, mu * sum(latent) + dual, chains)

@@ -93,18 +93,24 @@ def element(cores, idx):
 
 def _merge(a, b):
     # contract tail rank of a with head rank of b; merged index keeps
-    # a's index fastest, matching the canonical first-fastest order
-    out = np.tensordot(a, b, axes=(2, 0))
-    return out.reshape(a.shape[0], -1, b.shape[2], order="F")
+    # a's index fastest, matching the canonical first-fastest order. Both
+    # operands are read as first-index-fastest matrices and the product is
+    # formed transposed, so the result is Fortran-ordered without a copy
+    ra, ma, rc = a.shape
+    mb, rb = b.shape[1:]
+    left = a.reshape(ra * ma, rc, order="F")
+    right = b.reshape(rc, mb * rb, order="F")
+    return (right.T @ left.T).T.reshape(ra, ma * mb, rb, order="F")
 
 
 def _trace_contract(acc, last):
     # z[(j, i_N)] = sum_ab acc[a, j, b] * last[b, i_N, a]
-    # contiguous copies so the result does not depend on operand layout
+    # contiguous copies so the result does not depend on operand layout;
+    # the product is formed transposed, so z comes out first-index-fastest
     m = acc.shape[1]
     left = np.ascontiguousarray(acc.transpose(1, 0, 2).reshape(m, -1))
     right = np.ascontiguousarray(last.transpose(2, 0, 1).reshape(-1, last.shape[1]))
-    return left @ right
+    return (right.T @ left.T).T
 
 
 def reconstruct(cores):
@@ -131,6 +137,26 @@ def subchain(cores, n):
     for j in order[1:]:
         acc = _merge(acc, cs[j])
     return acc
+
+
+def prefix_suffix(cores, n):
+    """The chains on either side of core n: (cores 1..n-1, cores n+1..N) merged.
+
+    The prefix (R_1, A, R_n) is merged left to right and the suffix
+    (R_{n+1}, B, R_1) right to left, the order in which a solver sweep builds
+    them; either is None where it has no cores. Merging the suffix onto the
+    prefix gives subchain(cores, n) up to rounding.
+    """
+    cs = _core_list(cores)
+    N = len(cs)
+    if not 1 <= n <= N:
+        raise ValueError(f"mode {n} out of range for order {N}")
+    prefix = suffix = None
+    for c in cs[:n - 1]:
+        prefix = c if prefix is None else _merge(prefix, c)
+    for c in reversed(cs[n:]):
+        suffix = c if suffix is None else _merge(c, suffix)
+    return prefix, suffix
 
 
 def subchain_gram(cores, n):

@@ -22,9 +22,11 @@ tensors by SVT, refill the missing entries of x from the reconstruction,
 step the multipliers, grow mu. Stops when the relative change of x drops
 below tol.
 
-The core sweep reuses partial chain products: suffix chains of the not yet
-updated cores are built once per sweep, the prefix chain of refreshed cores
-is extended as the sweep advances, so each subchain costs one merge.
+The core sweep never forms a subchain: suffix chains of the not yet updated
+cores are built once per sweep, the prefix chain of refreshed cores is
+extended as the sweep advances, and the data term of core n reads the prefix
+and the suffix on either side of it. x stays first-index-fastest (Fortran
+order) for the whole solve, so the data term reads it without a copy.
 """
 
 import time
@@ -62,8 +64,8 @@ class SolverConfig:
         # written so that NaN fails the checks
         if not 0 < self.lam < np.inf:
             raise ValueError("lam must be positive and finite")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -117,7 +119,8 @@ def rse(estimate, truth, scope="all", mask=None):
 
 def _validate(observed, mask, cfg):
     observed = np.asarray(observed, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
+    # first-index-fastest like x, so the refill keeps x Fortran-ordered
+    mask = np.asfortranarray(mask, dtype=bool)
     if mask.shape != observed.shape:
         raise ValueError("mask shape does not match tensor shape")
     if not mask.any():
@@ -139,8 +142,8 @@ class _Overlapped:
     # the kernels are looked up as module attributes at call time, so a
     # profiler that rebinds them (perfbench/tracing.py) sees every call
     @staticmethod
-    def core_update(x, cores, aux, y, n, lam, mu, chain):
-        return core_update_olrf(x, cores, aux, y, n, lam, mu, chain=chain)
+    def core_update(x, cores, aux, y, n, lam, mu, chains):
+        return core_update_olrf(x, cores, aux, y, n, lam, mu, chains=chains)
 
     @staticmethod
     def svt_target(g, aux, y, i, mu):
@@ -162,8 +165,8 @@ class _Latent:
         return np.zeros_like(core)
 
     @staticmethod
-    def core_update(x, cores, aux, y, n, lam, mu, chain):
-        return core_update_llrf(x, cores, aux, y, n, lam, mu, chain=chain)
+    def core_update(x, cores, aux, y, n, lam, mu, chains):
+        return core_update_llrf(x, cores, aux, y, n, lam, mu, chains=chains)
 
     @staticmethod
     def svt_target(g, aux, y, i, mu):
@@ -184,7 +187,7 @@ MODELS = {"olrf": _Overlapped, "llrf": _Latent}
 def init_state(observed, mask, cfg, model="olrf"):
     """Initial solver state for validated input: N(0,1) cores, zero
     auxiliaries and multipliers, x = observed with missing entries set to
-    zero."""
+    zero, first-index-fastest."""
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
     shape = observed.shape
@@ -195,8 +198,10 @@ def init_state(observed, mask, cfg, model="olrf"):
         rng.standard_normal((ranks[i], shape[i], ranks[(i + 1) % n_modes]))
         for i in range(n_modes)
     ]
+    x = np.zeros(shape, order="F")
+    np.copyto(x, observed, where=mask)
     return State(
-        x=np.where(mask, observed, 0.0),
+        x=x,
         cores=cores,
         aux=[[np.zeros_like(c) for _ in range(3)] for c in cores],
         multipliers=[MODELS[model].new_multipliers(c) for c in cores],
@@ -211,14 +216,6 @@ def _suffix_chains(cores):
     for i in range(n - 2, 0, -1):
         sfx[i] = _merge(cores[i], sfx[i + 1])
     return sfx
-
-
-def _combine(sfx, pfx):
-    if pfx is None:
-        return sfx
-    if sfx is None:
-        return pfx
-    return _merge(sfx, pfx)
 
 
 def _solve(name, observed, mask, cfg, truth=None):
@@ -245,12 +242,14 @@ def _solve(name, observed, mask, cfg, truth=None):
         t_iter = time.perf_counter()
         mu_hist.append(mu)
         try:
+            # drop the last iteration's full prefix and reconstruction
+            # before the suffix chains are built
+            prefix = z = None
             sfx = _suffix_chains(cores)
-            prefix = None
             for n in range(1, n_modes + 1):
-                chain = _combine(sfx[n], prefix)
                 g = model.core_update(
-                    x, cores, state.aux[n - 1], state.multipliers[n - 1], n, cfg.lam, mu, chain,
+                    x, cores, state.aux[n - 1], state.multipliers[n - 1], n, cfg.lam, mu,
+                    (prefix, sfx[n]),
                 )
                 cores[n - 1] = g
                 if n < n_modes:

@@ -148,6 +148,16 @@ def test_synth_bad_std_exits_with_message(tmp_path, std):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_synth_overflowing_truth_exits_with_message(tmp_path):
+    # 1e200 is finite, but products of core entries overflow; under
+    # errstate(raise) an overflow warning escaping synth would fail the test
+    with np.errstate(all="raise"):
+        with pytest.raises(SystemExit, match="non-finite entries"):
+            main(["synth", "--shape", "4,4,4", "--rank", "2,2,2", "--std", "1e200",
+                  "--out", f"{tmp_path}/bad"])
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--rank", "2,2"], "rank vector of length 2"),
     (["--rank", "0,2,2"], "ranks must be positive"),
@@ -157,6 +167,7 @@ def test_synth_bad_std_exits_with_message(tmp_path, std):
     (["--rank", "2,2,2", "--lambda", "nan"], "lam must be positive and finite"),
     (["--rank", "2,2,2", "--lambda", "inf"], "lam must be positive and finite"),
     (["--rank", "2,2,2", "--tol", "nan"], "tol must be positive"),
+    (["--rank", "2,2,2", "--tol", "inf"], "tol must be positive and finite"),
 ])
 def test_complete_input_errors_exit_with_message(tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from trtc import read_tensor, write_tensor, TensorFileError  # noqa: E402
 from trtc.tensors import gamma_unfold, gamma_fold, delta_unfold, delta_fold  # noqa: E402
-from trtc.ring import element, reconstruct, subchain  # noqa: E402
+from trtc.ring import _merge, element, prefix_suffix, reconstruct, subchain  # noqa: E402
+from trtc.prox import core_update_llrf, core_update_olrf, data_term  # noqa: E402
+from trtc.solvers import _suffix_chains  # noqa: E402
 
 # orders 1-5, extents 1-4; any float64, NaN and infinities included
 ANY_TENSOR = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=5, min_side=1, max_side=4))
@@ -63,6 +65,71 @@ def test_subchain_and_reconstruct_match_element(cores):
     assert z.shape == tuple(c.shape[1] for c in cores)
     for idx in np.ndindex(z.shape):
         np.testing.assert_allclose(z[idx], element(cores, idx), rtol=1e-12, atol=1e-12)
+
+
+@st.composite
+def ring_problems(draw):
+    # extents (order 2-6, extents 1-4), ranks 1-3 and a seed for the values
+    order = draw(st.integers(2, 6))
+    extents = tuple(draw(st.lists(st.integers(1, 4), min_size=order, max_size=order)))
+    ranks = tuple(draw(st.lists(st.integers(1, 3), min_size=order, max_size=order)))
+    return extents, ranks, draw(st.integers(0, 2**32 - 1))
+
+
+def ring_instance(problem):
+    # random cores and a random dense x of the ring's shape
+    extents, ranks, seed = problem
+    rng = np.random.default_rng(seed)
+    order = len(extents)
+    cores = [rng.standard_normal((ranks[i], extents[i], ranks[(i + 1) % order])) for i in range(order)]
+    return cores, rng.standard_normal(extents)
+
+
+def layouts(x):
+    # the same tensor C-ordered, Fortran-ordered and as a strided view
+    big = np.zeros(tuple(2 * e for e in x.shape))
+    view = big[tuple(slice(None, None, 2) for _ in x.shape)]
+    view[...] = x
+    return np.ascontiguousarray(x), np.asfortranarray(x), view
+
+
+# (2, 2, 3, 2) makes both branches certain: mode 2 has A = 2 < B = 6,
+# mode 3 has A = 4 >= B = 2; modes 1 and N have no prefix or no suffix
+@example(((2, 2, 3, 2), (2, 3, 1, 2), 0))
+@given(ring_problems())
+def test_data_term_matches_dense_reference(problem):
+    cores, x = ring_instance(problem)
+    for n in range(1, len(cores) + 1):
+        want = delta_unfold(x, n) @ delta_unfold(subchain(cores, n), 2)
+        prefix, suffix = prefix_suffix(cores, n)
+        for xl in layouts(x):
+            got = data_term(xl, n, prefix, suffix)
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@example(((2, 2, 3, 2), (2, 3, 1, 2), 0))
+@given(ring_problems())
+def test_core_updates_without_chains_equal_the_solver_chains(problem):
+    cores, x = ring_instance(problem)
+    rng = np.random.default_rng(problem[2] + 1)
+    sfx = _suffix_chains(cores)
+    prefix = None
+    for n in range(1, len(cores) + 1):
+        core = cores[n - 1]
+        aux = [rng.standard_normal(core.shape) for _ in range(3)]
+        duals = [rng.standard_normal(core.shape) for _ in range(3)]
+        pair = (prefix, sfx[n])
+        np.testing.assert_array_equal(
+            core_update_olrf(x, cores, aux, duals, n, 10.0, 2.0),
+            core_update_olrf(x, cores, aux, duals, n, 10.0, 2.0, chains=pair),
+        )
+        np.testing.assert_array_equal(
+            core_update_llrf(x, cores, aux, duals[0], n, 10.0, 2.0),
+            core_update_llrf(x, cores, aux, duals[0], n, 10.0, 2.0, chains=pair),
+        )
+        # the sweep extends the prefix as the solver loop does
+        prefix = core if prefix is None else _merge(prefix, core)
 
 
 @st.composite

@@ -3,6 +3,11 @@
 import numpy as np
 import pytest
 
+import trtc.prox
+import trtc.ring
+import trtc.solvers
+import trtc.tensors
+
 from trtc import (
     SolverConfig,
     DivergenceError,
@@ -39,6 +44,7 @@ def test_config_defaults_and_coercion():
         {"lam": float("nan")},
         {"lam": float("inf")},
         {"tol": float("nan")},
+        {"tol": float("inf")},
     ],
 )
 def test_config_validation(kw):
@@ -187,6 +193,32 @@ def test_order_six_instance_latent_tracks_overlapped():
         assert rep.converged
         out[name] = rse(rep.final_x, truth, "missing", mask)
     assert out["llrf"] < 2.0 * out["olrf"]
+
+
+@pytest.mark.parametrize("name,solver", SOLVERS)
+def test_sweep_merges_only_prefix_and_suffix_chains(monkeypatch, name, solver):
+    # per iteration the suffix chains take N-2 merges and the prefix N-2;
+    # a full subchain per core update would add N-2 more, an unfolding of
+    # x or of a chain would call delta_unfold
+    truth, mask = synth_instance((3, 2, 3, 2, 3, 2), (2,) * 6, 0.5, 0, std=0.5)
+    merges, unfolds = [], []
+
+    def counted(calls, fn):
+        def wrapped(*args):
+            calls.append(1)
+            return fn(*args)
+        return wrapped
+
+    for module in (trtc.solvers, trtc.ring):
+        monkeypatch.setattr(module, "_merge", counted(merges, module._merge))
+    for module in (trtc.tensors, trtc.ring, trtc.prox, trtc.solvers):
+        if hasattr(module, "delta_unfold"):
+            monkeypatch.setattr(module, "delta_unfold", counted(unfolds, module.delta_unfold))
+    rep = solver(np.where(mask, truth, np.nan), mask,
+                 SolverConfig(tr_rank=(2,) * 6, tol=1e-300, max_iters=2, seed=0))
+    assert rep.iterations == 2
+    assert len(merges) == 2 * 2 * (6 - 2)
+    assert unfolds == []
 
 
 def test_lambda_choices_all_recover():
