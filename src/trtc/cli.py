@@ -163,6 +163,13 @@ def run_sweep(axis, grid, shape, gen_rank, missing_rate, lam, solver_names,
     rank, or lambda. RSE is taken on missing entries (on all entries when
     the instance has none).
     """
+    # checked before the first solve; a float rank would be truncated
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    if axis == "rank":
+        for value in grid:
+            if not float(value).is_integer():
+                raise ValueError(f"rank grid value {value} is not an integer")
     rows = []
     for value in grid:
         rate = missing_rate

@@ -13,9 +13,12 @@ mu for the latent model.
 
 The data term Delta_n(X) Q^T is read from the two chains on either side of
 core n, the prefix (cores 1..n-1 merged) and the suffix (cores n+1..N
-merged), so neither the subchain nor an unfolding of X is formed. A solver
-that sweeps the cores passes the (prefix, suffix) pair it already holds;
-without it the pair is built from the cores.
+merged), so neither the subchain nor an unfolding of X is formed. The ends
+keep their neighbour core out of the chain: mode 1 reads the suffix of cores
+3..N and core 2, mode N the prefix of cores 1..N-2 and core N-1, so no chain
+covers more than N-2 cores. A solver that sweeps the cores passes the
+(prefix, suffix) pair it already holds; without it the pair is built from
+the cores by ring.prefix_suffix.
 """
 
 import math
@@ -66,34 +69,52 @@ def ridge_solve(b, a):
     return np.linalg.solve(a, b.T).T
 
 
-def data_term(x, n, prefix, suffix):
-    """Delta_n(x) @ Delta_2(subchain_n), from the chains on either side of core n.
+def data_term(x, cores, n, prefix, suffix):
+    """Delta_n(x) @ Delta_2(subchain_n), from the chains prefix_suffix(cores, n).
 
-    prefix is cores 1..n-1 merged, shape (R_1, A, R_n), and suffix is cores
-    n+1..N merged, shape (R_{n+1}, B, R_1); either is None where it has no
-    cores (n = 1, n = N). x is read as its first-index-fastest (A, I_n, B)
-    view, which is free for a Fortran-ordered x. Modes 1 and N take one
-    contraction, against the rank slices of their single chain. Otherwise
-    the larger of A and B is contracted first, in one gemm against its
-    chain, and the small (., I_n, R, R) rest against the other chain.
+    x is read through a first-index-fastest view, free for a Fortran-ordered
+    x, and its largest group of modes is contracted first, in one gemm
+    against a chain of at most N-2 cores; the small (., ., R, R) rest is
+    contracted against the other chain or the neighbour core:
+      1 < n < N: x as (A, I_n, B), the larger of A and B against its chain
+          (prefix (R_1, A, R_n) or suffix (R_{n+1}, B, R_1)), then the rest
+          against the other chain;
+      n = 1: x as (I_1, I_2, B') against the suffix of cores 3..N, then the
+          rest against core 2;
+      n = N: x as (A', I_{N-1}, I_N) against the prefix of cores 1..N-2,
+          then the rest against core N-1.
+    At order 2 the other core is the whole subchain: one batched matmul
+    against its rank slices.
     """
     x = np.asarray(x)
-    i_n = x.shape[n - 1]
-    a = math.prod(x.shape[:n - 1])
-    b = math.prod(x.shape[n:])
-    if prefix is None or suffix is None:
-        # the chain is all other cores, (R_{n+1}, ., R_n): R_1 is R_n or R_{n+1}
-        chain = prefix if suffix is None else suffix
-        xm = x.reshape(i_n, b, order="F") if prefix is None else x.reshape(a, i_n, order="F").T
+    cs = _core_list(cores)
+    shape = x.shape
+    i_n = shape[n - 1]
+    if len(cs) == 2:
+        chain = cs[2 - n]  # (R_{n+1}, ., R_n)
+        xm = x if n == 1 else x.T
         t = np.matmul(xm, chain.transpose(2, 1, 0)).transpose(1, 2, 0)
-    elif b > a:
-        t = x.reshape(a * i_n, b, order="F") @ suffix.transpose(1, 2, 0).reshape(b, -1)
-        t = t.reshape(i_n, a, -1, suffix.shape[0])  # [i_n, j_A, r_1, r_{n+1}]
-        t = np.tensordot(t, prefix, axes=([1, 2], [1, 0]))
+    elif prefix is None:
+        b = math.prod(shape[2:])
+        t = x.reshape(i_n * shape[1], b, order="F") @ suffix.transpose(1, 2, 0).reshape(b, -1)
+        t = t.reshape(shape[1], i_n, -1, suffix.shape[0])  # [i_2, i_1, r_1, r_3]
+        t = np.tensordot(t, cs[1], axes=([0, 3], [1, 2])).transpose(0, 2, 1)
+    elif suffix is None:
+        a = math.prod(shape[:-2])
+        t = x.reshape(a, -1, order="F").T @ prefix.transpose(1, 2, 0).reshape(a, -1)
+        t = t.reshape(i_n, shape[-2], prefix.shape[2], -1)  # [i_N, i_{N-1}, r_{N-1}, r_1]
+        t = np.tensordot(t, cs[-2], axes=([1, 2], [1, 0]))
     else:
-        t = x.reshape(a, i_n * b, order="F").T @ prefix.transpose(1, 2, 0).reshape(a, -1)
-        t = t.reshape(b, i_n, prefix.shape[2], -1)  # [j_B, i_n, r_n, r_1]
-        t = np.tensordot(t, suffix, axes=([0, 3], [1, 2])).transpose(0, 2, 1)
+        a = math.prod(shape[:n - 1])
+        b = math.prod(shape[n:])
+        if b > a:
+            t = x.reshape(a * i_n, b, order="F") @ suffix.transpose(1, 2, 0).reshape(b, -1)
+            t = t.reshape(i_n, a, -1, suffix.shape[0])  # [i_n, j_A, r_1, r_{n+1}]
+            t = np.tensordot(t, prefix, axes=([1, 2], [1, 0]))
+        else:
+            t = x.reshape(a, i_n * b, order="F").T @ prefix.transpose(1, 2, 0).reshape(a, -1)
+            t = t.reshape(b, i_n, prefix.shape[2], -1)  # [j_B, i_n, r_n, r_1]
+            t = np.tensordot(t, suffix, axes=([0, 3], [1, 2])).transpose(0, 2, 1)
     # t[i_n, r_{n+1}, r_n]: columns of Delta_2 run over (r_n, r_{n+1}), r_n fastest
     return t.reshape(i_n, -1)
 
@@ -103,7 +124,7 @@ def _core_update(x, cores, n, lam, shift, reg, chains):
     cs = _core_list(cores)
     core = cs[n - 1]
     prefix, suffix = prefix_suffix(cs, n) if chains is None else chains
-    b = lam * data_term(x, n, prefix, suffix) + gamma_unfold(reg, 2)
+    b = lam * data_term(x, cs, n, prefix, suffix) + gamma_unfold(reg, 2)
     a = lam * subchain_gram(cs, n) + shift * np.eye(core.shape[0] * core.shape[2])
     return gamma_fold(ridge_solve(b, a), 2, core.shape)
 

@@ -104,9 +104,10 @@ def _merge(a, b):
 
 
 def _trace_contract(acc, last):
-    # z[(j, i_N)] = sum_ab acc[a, j, b] * last[b, i_N, a]
-    # contiguous copies so the result does not depend on operand layout;
-    # the product is formed transposed, so z comes out first-index-fastest
+    # z[(j, k)] = sum_ab acc[a, j, b] * last[b, k, a], for the two halves of
+    # a ring; contiguous copies so the result does not depend on operand
+    # layout; the product is formed transposed, so z comes out
+    # first-index-fastest
     m = acc.shape[1]
     left = np.ascontiguousarray(acc.transpose(1, 0, 2).reshape(m, -1))
     right = np.ascontiguousarray(last.transpose(2, 0, 1).reshape(-1, last.shape[1]))
@@ -114,9 +115,18 @@ def _trace_contract(acc, last):
 
 
 def reconstruct(cores):
-    """Dense tensor represented by the cores, via sequential contraction."""
+    """Dense tensor represented by the cores.
+
+    The prefix of cores 1..N-2 (merged left to right) is trace-contracted
+    against the merged last pair G_{N-1} G_N, the contraction a solver sweep
+    makes with the prefix it already holds; at order 2 core 1 is contracted
+    against core 2. No chain of more than N-2 cores is formed.
+    """
     cs = _core_list(cores)
-    z = _trace_contract(subchain(cs, len(cs)), cs[-1])
+    if len(cs) == 2:
+        z = _trace_contract(cs[0], cs[1])
+    else:
+        z = _trace_contract(prefix_suffix(cs, len(cs))[0], _merge(cs[-2], cs[-1]))
     return z.reshape(tuple(c.shape[1] for c in cs), order="F")
 
 
@@ -140,21 +150,24 @@ def subchain(cores, n):
 
 
 def prefix_suffix(cores, n):
-    """The chains on either side of core n: (cores 1..n-1, cores n+1..N) merged.
+    """The two chains a data term for core n is contracted against.
 
-    The prefix (R_1, A, R_n) is merged left to right and the suffix
-    (R_{n+1}, B, R_1) right to left, the order in which a solver sweep builds
-    them; either is None where it has no cores. Merging the suffix onto the
-    prefix gives subchain(cores, n) up to rounding.
+    For 1 < n < N: the prefix of cores 1..n-1, (R_1, A, R_n), and the suffix
+    of cores n+1..N, (R_{n+1}, B, R_1). The ends keep their neighbour core
+    out of the chain: for n = 1 the prefix is None and the suffix is cores
+    3..N, for n = N the prefix is cores 1..N-2 and the suffix is None, so no
+    chain has more than N-2 cores (both are None at order 2). The prefix is
+    merged left to right and the suffix right to left, the order in which a
+    solver sweep builds them.
     """
     cs = _core_list(cores)
     N = len(cs)
     if not 1 <= n <= N:
         raise ValueError(f"mode {n} out of range for order {N}")
     prefix = suffix = None
-    for c in cs[:n - 1]:
+    for c in cs[:min(n - 1, N - 2)]:
         prefix = c if prefix is None else _merge(prefix, c)
-    for c in reversed(cs[n:]):
+    for c in reversed(cs[max(n, 2):]):
         suffix = c if suffix is None else _merge(c, suffix)
     return prefix, suffix
 

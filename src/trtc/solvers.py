@@ -22,13 +22,18 @@ tensors by SVT, refill the missing entries of x from the reconstruction,
 step the multipliers, grow mu. Stops when the relative change of x drops
 below tol.
 
-The core sweep never forms a subchain: suffix chains of the not yet updated
-cores are built once per sweep, the prefix chain of refreshed cores is
-extended as the sweep advances, and the data term of core n reads the prefix
-and the suffix on either side of it. x stays first-index-fastest (Fortran
-order) for the whole solve, so the data term reads it without a copy.
+The core sweep never forms a chain of more than N-2 cores: the suffix chains
+of the not yet updated cores 3..N are built once per sweep, the prefix chain
+of refreshed cores is extended as the sweep advances up to cores 1..N-2, and
+the data term of core n reads the prefix and the suffix on either side of
+it (mode 1 the suffix of cores 3..N and core 2, mode N the prefix of cores
+1..N-2 and core N-1). The reconstruction contracts that prefix against the
+merged last pair G_{N-1} G_N, as ring.reconstruct does. That is 2N-5 merges
+per iteration. x stays first-index-fastest (Fortran order) for the whole
+solve, so the data term reads it without a copy.
 """
 
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -66,8 +71,11 @@ class SolverConfig:
             raise ValueError("lam must be positive and finite")
         if not 0 < self.tol < np.inf:
             raise ValueError("tol must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        # numpy integers pass; a float, even an integral one, does not
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError("max_iters must be an integer >= 1")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
 
 
 @dataclass
@@ -209,12 +217,17 @@ def init_state(observed, mask, cfg, model="olrf"):
 
 
 def _suffix_chains(cores):
-    # sfx[i] merges cores[i:], sfx[N] is None
+    # sfx[n] is the suffix that prefix_suffix(cores, n) gives: cores[n:]
+    # merged right to left for 1 < n < N, cores[2:] for n = 1, None for n = N
+    # (and at order 2); merged here through this module's _merge, which a
+    # profiler can rebind
     n = len(cores)
     sfx = [None] * (n + 1)
-    sfx[n - 1] = cores[n - 1]
-    for i in range(n - 2, 0, -1):
-        sfx[i] = _merge(cores[i], sfx[i + 1])
+    if n > 2:
+        sfx[n - 1] = cores[n - 1]
+        for i in range(n - 2, 1, -1):
+            sfx[i] = _merge(cores[i], sfx[i + 1])
+        sfx[1] = sfx[2]
     return sfx
 
 
@@ -242,8 +255,8 @@ def _solve(name, observed, mask, cfg, truth=None):
         t_iter = time.perf_counter()
         mu_hist.append(mu)
         try:
-            # drop the last iteration's full prefix and reconstruction
-            # before the suffix chains are built
+            # drop the last iteration's prefix and reconstruction before
+            # the suffix chains are built
             prefix = z = None
             sfx = _suffix_chains(cores)
             for n in range(1, n_modes + 1):
@@ -252,7 +265,9 @@ def _solve(name, observed, mask, cfg, truth=None):
                     (prefix, sfx[n]),
                 )
                 cores[n - 1] = g
-                if n < n_modes:
+                # the prefix stops at cores 1..N-2, which modes N-1 and N
+                # and the reconstruction read
+                if n < n_modes - 1:
                     prefix = g if prefix is None else _merge(prefix, g)
 
             beta = 1.0 / mu
@@ -262,7 +277,13 @@ def _solve(name, observed, mask, cfg, truth=None):
                     hit = svt(gamma_unfold(target, i + 1), beta).matrix
                     aux[i] = gamma_fold(hit, i + 1, g.shape)
 
-            z = _trace_contract(prefix, cores[-1]).reshape(shape, order="F")
+            # the same contraction as ring.reconstruct, so final_x off the
+            # mask is reconstruct(final_cores) bit for bit
+            if n_modes == 2:
+                z = _trace_contract(cores[0], cores[1])
+            else:
+                z = _trace_contract(prefix, _merge(cores[-2], cores[-1]))
+            z = z.reshape(shape, order="F")
         except np.linalg.LinAlgError as e:
             raise DivergenceError(f"{name} iterate became non-finite at iteration {it}: {e}") from e
 

@@ -229,6 +229,20 @@ def test_sweep_csv_schema_and_determinism(tmp_path):
         assert float(r[9]) >= 0.0
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--axis", "rank", "--grid", "2.5"], "rank grid value 2.5 is not an integer"),
+    (["--axis", "rank", "--grid", "3,2.5"], "rank grid value 2.5 is not an integer"),
+    (["--axis", "rank", "--grid", "nan"], "rank grid value nan is not an integer"),
+    (["--axis", "missing-rate", "--grid", "0.3", "--repeats", "0"], "repeats must be >= 1"),
+    (["--axis", "lambda", "--grid", "10", "--repeats=-2"], "repeats must be >= 1"),
+])
+def test_sweep_bad_grid_or_repeats_exits_with_message(tmp_path, argv, message):
+    with pytest.raises(SystemExit, match=message):
+        main(["sweep", *argv, "--shape", "4,4,4", "--rank", "2,2,2", "--max-iters", "5",
+              "--out", f"{tmp_path}/s.csv"])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_rank_axis_argmin_near_generating_rank():
     # uniform-rank grid crossing the generating rank-sum; argmin should
     # land on one of the two bracketing grid points for both solvers

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from trtc import read_tensor, write_tensor, TensorFileError  # noqa: E402
 from trtc.tensors import gamma_unfold, gamma_fold, delta_unfold, delta_fold  # noqa: E402
-from trtc.ring import _merge, element, prefix_suffix, reconstruct, subchain  # noqa: E402
+from trtc.ring import _merge, _trace_contract, element, prefix_suffix, reconstruct, subchain  # noqa: E402
 from trtc.prox import core_update_llrf, core_update_olrf, data_term  # noqa: E402
 from trtc.solvers import _suffix_chains  # noqa: E402
 
@@ -93,19 +93,48 @@ def layouts(x):
     return np.ascontiguousarray(x), np.asfortranarray(x), view
 
 
-# (2, 2, 3, 2) makes both branches certain: mode 2 has A = 2 < B = 6,
-# mode 3 has A = 4 >= B = 2; modes 1 and N have no prefix or no suffix
+def merged_extent(chain):
+    return 0 if chain is None else chain.shape[1]
+
+
+# (2, 2, 3, 2) makes every branch certain: mode 2 has A = 2 < B = 6, mode 3
+# has A = 4 >= B = 2, mode 1 reads the suffix of cores 3..4 and core 2, mode
+# N the prefix of cores 1..2 and core 3; order 3 has one-core chains at the
+# ends, order 2 none
 @example(((2, 2, 3, 2), (2, 3, 1, 2), 0))
+@example(((3, 2, 4), (2, 1, 3), 1))
+@example(((3, 2), (2, 3), 2))
 @given(ring_problems())
 def test_data_term_matches_dense_reference(problem):
     cores, x = ring_instance(problem)
-    for n in range(1, len(cores) + 1):
+    extents = problem[0]
+    order = len(cores)
+    for n in range(1, order + 1):
         want = delta_unfold(x, n) @ delta_unfold(subchain(cores, n), 2)
         prefix, suffix = prefix_suffix(cores, n)
+        # the split: neither chain reaches the neighbour core of an end
+        if order > 2:
+            lo, hi = min(n - 1, order - 2), max(n, 2)
+            assert merged_extent(prefix) == (int(np.prod(extents[:lo])) if lo else 0)
+            assert merged_extent(suffix) == (int(np.prod(extents[hi:])) if hi < order else 0)
+        else:
+            assert prefix is None and suffix is None
         for xl in layouts(x):
-            got = data_term(xl, n, prefix, suffix)
+            got = data_term(xl, cores, n, prefix, suffix)
             assert got.shape == want.shape
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@example(((2, 2, 3, 2), (2, 3, 1, 2), 0))
+@example(((3, 2), (2, 3), 2))
+@given(ring_problems())
+def test_reconstruct_matches_full_chain_contraction(problem):
+    # the old reconstruction: the chain of cores 1..N-1 against core N
+    cores, _ = ring_instance(problem)
+    want = _trace_contract(subchain(cores, len(cores)), cores[-1]).reshape(problem[0], order="F")
+    got = reconstruct(cores)
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @example(((2, 2, 3, 2), (2, 3, 1, 2), 0))
@@ -128,8 +157,9 @@ def test_core_updates_without_chains_equal_the_solver_chains(problem):
             core_update_llrf(x, cores, aux, duals[0], n, 10.0, 2.0),
             core_update_llrf(x, cores, aux, duals[0], n, 10.0, 2.0, chains=pair),
         )
-        # the sweep extends the prefix as the solver loop does
-        prefix = core if prefix is None else _merge(prefix, core)
+        # the sweep extends the prefix as the solver loop does, up to cores 1..N-2
+        if n < len(cores) - 1:
+            prefix = core if prefix is None else _merge(prefix, core)
 
 
 @st.composite

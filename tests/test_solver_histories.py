@@ -3,13 +3,18 @@
 `solver_histories.json` holds the first 20 iterations of both solvers on the
 criterion-5 instance (10x10x10x10, rank 4,5,4,5, 50% missing, seed 0, truth
 passed), recorded from the loop before it was rewritten as one loop over a
-model strategy. JSON numbers are written with `repr`, so every float round
-trips exactly. To record the file again from a given checkout:
+model strategy. `solver_histories_ends.json` holds the same histories on an
+order-2 and an order-3 instance, where the two ends of the ring meet,
+recorded before the ends were contracted against the (N-2)-core chains.
+JSON numbers are written with `repr`, so every float round trips exactly.
+To record a file again from a given checkout:
 
-    PYTHONPATH=src python tests/test_solver_histories.py
+    PYTHONPATH=src python tests/test_solver_histories.py criterion5
+    PYTHONPATH=src python tests/test_solver_histories.py ends
 """
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,27 +24,50 @@ from trtc import SolverConfig, solve_olrf, solve_llrf
 from trtc.cli import synth_instance
 
 FIXTURE = Path(__file__).with_name("solver_histories.json")
+ENDS_FIXTURE = Path(__file__).with_name("solver_histories_ends.json")
 SOLVERS = {"olrf": solve_olrf, "llrf": solve_llrf}
 HISTORIES = ("rel_change_history", "consistency_history", "mu_history", "rse_history")
 ITERS = 20
+# (shape, rank, missing rate, std) per instance, all with seed 0
+CRITERION5 = ((10, 10, 10, 10), (4, 5, 4, 5), 0.5, 0.5)
+ENDS = {
+    "order2": ((5, 6), (2, 2), 0.3, 0.5),
+    "order3": ((5, 6, 4), (2, 3, 2), 0.3, 0.5),
+}
 
 
-def _run(name):
-    truth, mask = synth_instance((10, 10, 10, 10), (4, 5, 4, 5), 0.5, 0, std=0.5)
+def _run(name, instance=CRITERION5):
+    shape, rank, missing_rate, std = instance
+    truth, mask = synth_instance(shape, rank, missing_rate, 0, std=std)
     obs = np.where(mask, truth, np.nan)
-    cfg = SolverConfig(tr_rank=(4, 5, 4, 5), seed=0, max_iters=ITERS)
+    cfg = SolverConfig(tr_rank=rank, seed=0, max_iters=ITERS)
     rep = SOLVERS[name](obs, mask, cfg, truth=truth)
     return {h: [float(v) for v in getattr(rep, h)] for h in HISTORIES}
 
 
-@pytest.mark.parametrize("name", sorted(SOLVERS))
-def test_histories_match_recorded_loop(name):
-    recorded = json.loads(FIXTURE.read_text())[name]
-    now = _run(name)
+def _check(now, recorded):
     for h in HISTORIES:
         assert len(now[h]) == len(recorded[h]) == ITERS, h
         np.testing.assert_allclose(now[h], recorded[h], rtol=1e-10, atol=0, err_msg=h)
 
 
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_histories_match_recorded_loop(name):
+    _check(_run(name), json.loads(FIXTURE.read_text())[name])
+
+
+@pytest.mark.parametrize("instance", sorted(ENDS))
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_ring_end_histories_match_recorded_loop(name, instance):
+    _check(_run(name, ENDS[instance]), json.loads(ENDS_FIXTURE.read_text())[instance][name])
+
+
 if __name__ == "__main__":
-    FIXTURE.write_text(json.dumps({name: _run(name) for name in sorted(SOLVERS)}, indent=1) + "\n")
+    if sys.argv[1:] == ["criterion5"]:
+        record = {name: _run(name) for name in sorted(SOLVERS)}
+        FIXTURE.write_text(json.dumps(record, indent=1) + "\n")
+    elif sys.argv[1:] == ["ends"]:
+        record = {k: {name: _run(name, ENDS[k]) for name in sorted(SOLVERS)} for k in sorted(ENDS)}
+        ENDS_FIXTURE.write_text(json.dumps(record, indent=1) + "\n")
+    else:
+        sys.exit("usage: test_solver_histories.py criterion5|ends")

@@ -45,6 +45,10 @@ def test_config_defaults_and_coercion():
         {"lam": float("inf")},
         {"tol": float("nan")},
         {"tol": float("inf")},
+        {"max_iters": 2.5},
+        {"max_iters": 2.0},
+        {"seed": 1.5},
+        {"seed": -1},
     ],
 )
 def test_config_validation(kw):
@@ -197,16 +201,25 @@ def test_order_six_instance_latent_tracks_overlapped():
 
 @pytest.mark.parametrize("name,solver", SOLVERS)
 def test_sweep_merges_only_prefix_and_suffix_chains(monkeypatch, name, solver):
-    # per iteration the suffix chains take N-2 merges and the prefix N-2;
-    # a full subchain per core update would add N-2 more, an unfolding of
-    # x or of a chain would call delta_unfold
-    truth, mask = synth_instance((3, 2, 3, 2, 3, 2), (2,) * 6, 0.5, 0, std=0.5)
+    # per iteration the suffix chains of cores 3..N take N-3 merges, the
+    # prefix of cores 1..N-2 takes N-3 and the reconstruction merges the
+    # last pair, 2N-5 in all; no chain covers more than N-2 cores, so a
+    # chain of N-1 cores (a subchain, or the full prefix or suffix of an
+    # end) is too long, and an unfolding of x or of a chain would call
+    # delta_unfold
+    shape = (3, 2, 3, 2, 3, 2)
+    order = len(shape)
+    truth, mask = synth_instance(shape, (2,) * order, 0.5, 0, std=0.5)
+    longest = max(
+        int(np.prod([shape[(s + k) % order] for k in range(order - 2)])) for s in range(order)
+    )
     merges, unfolds = [], []
 
     def counted(calls, fn):
         def wrapped(*args):
-            calls.append(1)
-            return fn(*args)
+            out = fn(*args)
+            calls.append(out)
+            return out
         return wrapped
 
     for module in (trtc.solvers, trtc.ring):
@@ -215,9 +228,10 @@ def test_sweep_merges_only_prefix_and_suffix_chains(monkeypatch, name, solver):
         if hasattr(module, "delta_unfold"):
             monkeypatch.setattr(module, "delta_unfold", counted(unfolds, module.delta_unfold))
     rep = solver(np.where(mask, truth, np.nan), mask,
-                 SolverConfig(tr_rank=(2,) * 6, tol=1e-300, max_iters=2, seed=0))
+                 SolverConfig(tr_rank=(2,) * order, tol=1e-300, max_iters=2, seed=0))
     assert rep.iterations == 2
-    assert len(merges) == 2 * 2 * (6 - 2)
+    assert len(merges) == 2 * (2 * order - 5)
+    assert max(m.shape[1] for m in merges) <= longest
     assert unfolds == []
 
 
