@@ -19,6 +19,13 @@ keep their neighbour core out of the chain: mode 1 reads the suffix of cores
 covers more than N-2 cores. A solver that sweeps the cores passes the
 (prefix, suffix) pair it already holds; without it the pair is built from
 the cores by ring.prefix_suffix.
+
+The Gram Q Q^T is read the same way from per-core transfer matrices
+T_k = sum_i G_k(i) kron G_k(i): suffix @ prefix of the products
+T_{n+1} (... T_N) and ((T_1 T_2) ...) T_{n-1}, one of them alone at the
+ends. A sweeping solver passes the pair of transfer products it holds;
+without it ring.subchain_gram forms them from the cores with the same
+association, so both calls give the same core bit for bit.
 """
 
 import math
@@ -29,7 +36,7 @@ import numpy as np
 # delta_unfold is no longer called here; it stays a module attribute because
 # the benchmark's tracer (perfbench/tracing.py) wraps trtc.prox.delta_unfold
 from .tensors import delta_unfold, gamma_fold, gamma_unfold  # noqa: F401
-from .ring import _core_list, prefix_suffix, subchain_gram
+from .ring import _core_list, prefix_suffix, subchain_gram, transfer_gram
 
 
 @dataclass
@@ -119,32 +126,34 @@ def data_term(x, cores, n, prefix, suffix):
     return t.reshape(i_n, -1)
 
 
-def _core_update(x, cores, n, lam, shift, reg, chains):
+def _core_update(x, cores, n, lam, shift, reg, chains, transfers):
     # solves G2 (lam Q Q^T + shift I) = lam Delta_n(X) Q^T + Gamma_2(reg)
     cs = _core_list(cores)
     core = cs[n - 1]
     prefix, suffix = prefix_suffix(cs, n) if chains is None else chains
     b = lam * data_term(x, cs, n, prefix, suffix) + gamma_unfold(reg, 2)
-    a = lam * subchain_gram(cs, n) + shift * np.eye(core.shape[0] * core.shape[2])
+    gram = subchain_gram(cs, n) if transfers is None else transfer_gram(*transfers)
+    a = lam * gram + shift * np.eye(core.shape[0] * core.shape[2])
     return gamma_fold(ridge_solve(b, a), 2, core.shape)
 
 
-def core_update_olrf(x, cores, aux, duals, n, lam, mu, chains=None):
+def core_update_olrf(x, cores, aux, duals, n, lam, mu, chains=None, transfers=None):
     """Minimizer of the overlapped-model core sub-objective for core n.
 
     aux and duals are the three auxiliary tensors M_ni and multipliers Y_ni,
     each shaped like core n. chains, when given, must equal
-    prefix_suffix(cores, n): a solver that sweeps the cores passes the
-    (prefix, suffix) pair it already holds.
+    prefix_suffix(cores, n) and transfers the (prefix, suffix) pair of
+    transfer products that ring.subchain_gram(cores, n) forms: a solver
+    that sweeps the cores passes the pairs it already holds.
     """
-    return _core_update(x, cores, n, lam, 3.0 * mu, mu * sum(aux) + sum(duals), chains)
+    return _core_update(x, cores, n, lam, 3.0 * mu, mu * sum(aux) + sum(duals), chains, transfers)
 
 
-def core_update_llrf(x, cores, latent, dual, n, lam, mu, chains=None):
+def core_update_llrf(x, cores, latent, dual, n, lam, mu, chains=None, transfers=None):
     """Minimizer of the latent-model core sub-objective for core n.
 
     latent holds the three latent tensors W_ni; dual is the single
-    multiplier Y_n for the constraint sum_i W_ni = G_n. chains is the
-    (prefix, suffix) pair, as for core_update_olrf.
+    multiplier Y_n for the constraint sum_i W_ni = G_n. chains and
+    transfers are the sweep's pairs, as for core_update_olrf.
     """
-    return _core_update(x, cores, n, lam, mu, mu * sum(latent) + dual, chains)
+    return _core_update(x, cores, n, lam, mu, mu * sum(latent) + dual, chains, transfers)

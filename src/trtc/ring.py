@@ -5,6 +5,8 @@ G_n of shape (R_n, I_n, R_{n+1}) with R_{N+1} = R_1. Entry (i_1,...,i_N) is
 Trace(G_1(i_1) @ ... @ G_N(i_N)) where G_n(i) = cores[n][:, i, :].
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +21,10 @@ class TRRank:
     ranks: tuple
 
     def __post_init__(self):
+        # numpy integers pass; a float, even an integral one, does not
+        for r in self.ranks:
+            if not isinstance(r, numbers.Integral):
+                raise ValueError(f"rank {r!r} is not an integer")
         object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
         if len(self.ranks) < 2:
             raise ValueError("TR-rank needs at least two entries")
@@ -172,25 +178,59 @@ def prefix_suffix(cores, n):
     return prefix, suffix
 
 
+def transfer(core):
+    """Transfer matrix sum_i G(i) kron G(i) of a core, (R_n^2, R_{n+1}^2).
+
+    Row (a, c) and column (b, d), first listed index slowest, hold
+    sum_i G[a, i, b] G[c, i, d]; the product of the transfer matrices of a
+    chain is the transfer matrix of the merged chain.
+    """
+    p, _, q = core.shape
+    return np.tensordot(core, core, axes=(1, 1)).transpose(0, 2, 1, 3).reshape(p * p, q * q)
+
+
+def transfer_gram(prefix, suffix):
+    """Subchain Gram matrix of core n from the transfer products beside it.
+
+    prefix is ((T_1 T_2) ...) T_{n-1}, (R_1^2, R_n^2), and suffix is
+    T_{n+1} (... T_N), (R_{n+1}^2, R_1^2); the Gram is suffix @ prefix,
+    reordered to the (r_n, r_{n+1}) columns of Delta_2. Mode 1 has no prefix
+    and mode N no suffix: the one product there is the whole chain.
+    """
+    if prefix is None:
+        prod = suffix
+    elif suffix is None:
+        prod = prefix
+    else:
+        prod = suffix @ prefix
+    rn1 = math.isqrt(prod.shape[0])
+    rn = math.isqrt(prod.shape[1])
+    p4 = prod.reshape(rn1, rn1, rn, rn)
+    return p4.transpose(2, 0, 3, 1).reshape(rn * rn1, rn * rn1, order="F")
+
+
 def subchain_gram(cores, n):
     """Gram matrix Q_n Q_n^T = Delta_2(C)^T Delta_2(C) of the mode-n subchain.
 
-    Computed through per-core transfer matrices sum_i G(i) kron G(i) without
-    materializing the subchain, so the cost is polynomial in the ranks.
+    Computed through the per-core transfer matrices without materializing
+    the subchain, so the cost is polynomial in the ranks. The products are
+    associated as a solver sweep holds them: the prefix of cores 1..n-1
+    left to right, the suffix of cores n+1..N right to left, then
+    transfer_gram(prefix, suffix). A core update given the sweep's transfer
+    products therefore gets the same Gram bit for bit.
     """
     cs = _core_list(cores)
     N = len(cs)
-    c = n - 1
-    prod = None
-    for k in range(1, N):
-        g = cs[(c + k) % N]
-        p, _, q = g.shape
-        t = np.tensordot(g, g, axes=(1, 1)).transpose(0, 2, 1, 3).reshape(p * p, q * q)
-        prod = t if prod is None else prod @ t
-    rn1 = cs[(c + 1) % N].shape[0]
-    rn = cs[c].shape[0]
-    p4 = prod.reshape(rn1, rn1, rn, rn)
-    return p4.transpose(2, 0, 3, 1).reshape(rn * rn1, rn * rn1, order="F")
+    if not 1 <= n <= N:
+        raise ValueError(f"mode {n} out of range for order {N}")
+    prefix = suffix = None
+    for c in cs[:n - 1]:
+        t = transfer(c)
+        prefix = t if prefix is None else prefix @ t
+    for c in reversed(cs[n:]):
+        t = transfer(c)
+        suffix = t if suffix is None else t @ suffix
+    return transfer_gram(prefix, suffix)
 
 
 def eq2_residual(cores, x, n):

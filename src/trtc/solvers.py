@@ -31,6 +31,19 @@ it (mode 1 the suffix of cores 3..N and core 2, mode N the prefix of cores
 merged last pair G_{N-1} G_N, as ring.reconstruct does. That is 2N-5 merges
 per iteration. x stays first-index-fastest (Fortran order) for the whole
 solve, so the data term reads it without a copy.
+
+The Gram of each core update comes from transfer products held the same
+way. The transfer matrix of a core (ring.transfer) is computed once, right
+after the core is updated, and carried into the next sweep: N per
+iteration. The suffix products T_{n+1} (... T_N) of the not yet updated
+cores are built once per sweep, and the prefix product ((T_1 T_2) ...)
+T_{n-1} is extended as the sweep advances; ring.subchain_gram associates the
+same products, so it is not called from the loop.
+
+The refill writes the reconstruction into the missing entries of x in
+place, through x's flat first-index-fastest view and the positions of the
+missing entries, computed once per solve. The observed entries of x never
+change, so the relative change is taken over the missing entries alone.
 """
 
 import numbers
@@ -41,7 +54,7 @@ from typing import Optional
 import numpy as np
 
 from .tensors import gamma_unfold, gamma_fold
-from .ring import TRCores, TRRank, _merge, _trace_contract
+from .ring import TRCores, TRRank, _merge, _trace_contract, transfer
 from .prox import svt, core_update_olrf, core_update_llrf
 
 # penalty schedule, the same for every solve: mu starts at _MU0 and grows
@@ -150,8 +163,8 @@ class _Overlapped:
     # the kernels are looked up as module attributes at call time, so a
     # profiler that rebinds them (perfbench/tracing.py) sees every call
     @staticmethod
-    def core_update(x, cores, aux, y, n, lam, mu, chains):
-        return core_update_olrf(x, cores, aux, y, n, lam, mu, chains=chains)
+    def core_update(x, cores, aux, y, n, lam, mu, chains, transfers):
+        return core_update_olrf(x, cores, aux, y, n, lam, mu, chains=chains, transfers=transfers)
 
     @staticmethod
     def svt_target(g, aux, y, i, mu):
@@ -173,8 +186,8 @@ class _Latent:
         return np.zeros_like(core)
 
     @staticmethod
-    def core_update(x, cores, aux, y, n, lam, mu, chains):
-        return core_update_llrf(x, cores, aux, y, n, lam, mu, chains=chains)
+    def core_update(x, cores, aux, y, n, lam, mu, chains, transfers):
+        return core_update_llrf(x, cores, aux, y, n, lam, mu, chains=chains, transfers=transfers)
 
     @staticmethod
     def svt_target(g, aux, y, i, mu):
@@ -231,19 +244,38 @@ def _suffix_chains(cores):
     return sfx
 
 
+def _suffix_transfers(trans):
+    # sfx[n] is T_{n+1} (... T_N), the suffix transfer product that
+    # ring.subchain_gram forms for mode n (None for n = N), from the
+    # transfer matrices trans of the cores
+    n = len(trans)
+    sfx = [None] * (n + 1)
+    sfx[n - 1] = trans[n - 1]
+    for i in range(n - 2, 0, -1):
+        sfx[i] = trans[i] @ sfx[i + 1]
+    return sfx
+
+
 def _solve(name, observed, mask, cfg, truth=None):
     observed, mask = _validate(observed, mask, cfg)
-    shape = observed.shape
     n_modes = observed.ndim
     state = init_state(observed, mask, cfg, name)
     model = MODELS[name]
     cores = state.cores
-    obs = x = state.x
+    x = state.x
     mu = _MU0
 
-    obs_norm = np.linalg.norm(obs)
+    obs_norm = np.linalg.norm(x)
     if obs_norm == 0.0:
         raise ValueError("observed entries are all zero")
+    # the refill writes through x's first-index-fastest flat view at the
+    # positions of the missing entries; a reshape that copied would leave x
+    # stale, so the view is checked
+    x_flat = x.reshape(-1, order="F")
+    if not np.shares_memory(x_flat, x):
+        raise RuntimeError("x has no first-index-fastest flat view")
+    missing = np.flatnonzero(~mask.ravel(order="F"))
+    trans = [transfer(g) for g in cores]
     scope = "missing" if not mask.all() else "all"
 
     rel_hist, rse_hist, cons_hist, iter_times, mu_hist = [], [], [], [], []
@@ -257,18 +289,23 @@ def _solve(name, observed, mask, cfg, truth=None):
         try:
             # drop the last iteration's prefix and reconstruction before
             # the suffix chains are built
-            prefix = z = None
+            prefix = z = prefix_t = None
             sfx = _suffix_chains(cores)
+            sfx_t = _suffix_transfers(trans)
             for n in range(1, n_modes + 1):
                 g = model.core_update(
                     x, cores, state.aux[n - 1], state.multipliers[n - 1], n, cfg.lam, mu,
-                    (prefix, sfx[n]),
+                    (prefix, sfx[n]), (prefix_t, sfx_t[n]),
                 )
                 cores[n - 1] = g
+                trans[n - 1] = t = transfer(g)
                 # the prefix stops at cores 1..N-2, which modes N-1 and N
-                # and the reconstruction read
+                # and the reconstruction read; the transfer prefix at
+                # cores 1..N-1, which mode N reads
                 if n < n_modes - 1:
                     prefix = g if prefix is None else _merge(prefix, g)
+                if n < n_modes:
+                    prefix_t = t if prefix_t is None else prefix_t @ t
 
             beta = 1.0 / mu
             for g, aux, y in zip(cores, state.aux, state.multipliers):
@@ -283,13 +320,13 @@ def _solve(name, observed, mask, cfg, truth=None):
                 z = _trace_contract(cores[0], cores[1])
             else:
                 z = _trace_contract(prefix, _merge(cores[-2], cores[-1]))
-            z = z.reshape(shape, order="F")
         except np.linalg.LinAlgError as e:
             raise DivergenceError(f"{name} iterate became non-finite at iteration {it}: {e}") from e
 
-        x_new = np.where(mask, obs, z)
-        rel = float(np.linalg.norm(x_new - x) / obs_norm)
-        x = x_new
+        # z is first-index-fastest, as x; the observed entries of x stay put
+        z_missing = z.reshape(-1, order="F")[missing]
+        rel = float(np.linalg.norm(z_missing - x_flat[missing]) / obs_norm)
+        x_flat[missing] = z_missing
 
         cons = 0.0
         for g, aux, y in zip(cores, state.aux, state.multipliers):

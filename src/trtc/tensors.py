@@ -6,12 +6,22 @@ order="F" so that the first listed index of a group always varies fastest.
 Modes are 1-based in all public signatures.
 """
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
 
 def _check_mode(t, n):
     if not 1 <= n <= t.ndim:
         raise ValueError(f"mode {n} out of range for order-{t.ndim} tensor")
+
+
+@lru_cache(maxsize=None)
+def _to_front(ndim, k):
+    # axis k first, the others in natural order, and the inverse permutation
+    perm = (k,) + tuple(range(k)) + tuple(range(k + 1, ndim))
+    return perm, tuple(perm.index(i) for i in range(ndim))
 
 
 def gamma_unfold(t, n):
@@ -23,7 +33,7 @@ def gamma_unfold(t, n):
     t = np.asarray(t)
     _check_mode(t, n)
     k = n - 1
-    return np.moveaxis(t, k, 0).reshape(t.shape[k], -1, order="F")
+    return t.transpose(_to_front(t.ndim, k)[0]).reshape(t.shape[k], -1, order="F")
 
 
 def gamma_fold(m, n, shape):
@@ -31,10 +41,10 @@ def gamma_fold(m, n, shape):
     m = np.asarray(m)
     shape = tuple(shape)
     k = n - 1
-    if m.shape != (shape[k], int(np.prod(shape)) // shape[k]):
+    if m.shape != (shape[k], math.prod(shape) // shape[k]):
         raise ValueError(f"matrix shape {m.shape} does not match mode {n} of {shape}")
-    moved = shape[k:k + 1] + shape[:k] + shape[k + 1:]
-    return np.moveaxis(m.reshape(moved, order="F"), 0, k)
+    perm, inv = _to_front(len(shape), k)
+    return m.reshape(tuple(shape[i] for i in perm), order="F").transpose(inv)
 
 
 def delta_unfold(t, n):
@@ -55,7 +65,7 @@ def delta_fold(m, n, shape):
     m = np.asarray(m)
     shape = tuple(shape)
     k = n - 1
-    if m.shape != (shape[k], int(np.prod(shape)) // shape[k]):
+    if m.shape != (shape[k], math.prod(shape) // shape[k]):
         raise ValueError(f"matrix shape {m.shape} does not match mode {n} of {shape}")
     perm = tuple(range(k, len(shape))) + tuple(range(k))
     cyc = tuple(shape[i] for i in perm)

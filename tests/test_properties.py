@@ -9,9 +9,11 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from trtc import read_tensor, write_tensor, TensorFileError  # noqa: E402
 from trtc.tensors import gamma_unfold, gamma_fold, delta_unfold, delta_fold  # noqa: E402
-from trtc.ring import _merge, _trace_contract, element, prefix_suffix, reconstruct, subchain  # noqa: E402
+from trtc.ring import (  # noqa: E402
+    _merge, _trace_contract, element, prefix_suffix, reconstruct, subchain, subchain_gram, transfer,
+)
 from trtc.prox import core_update_llrf, core_update_olrf, data_term  # noqa: E402
-from trtc.solvers import _suffix_chains  # noqa: E402
+from trtc.solvers import _suffix_chains, _suffix_transfers  # noqa: E402
 
 # orders 1-5, extents 1-4; any float64, NaN and infinities included
 ANY_TENSOR = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=5, min_side=1, max_side=4))
@@ -138,28 +140,46 @@ def test_reconstruct_matches_full_chain_contraction(problem):
 
 
 @example(((2, 2, 3, 2), (2, 3, 1, 2), 0))
+@example(((3, 2), (2, 3), 2))
+@given(ring_problems())
+def test_subchain_gram_matches_dense_reference(problem):
+    cores, _ = ring_instance(problem)
+    for n in range(1, len(cores) + 1):
+        d2 = delta_unfold(subchain(cores, n), 2)
+        want = d2.T @ d2
+        got = subchain_gram(cores, n)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@example(((2, 2, 3, 2), (2, 3, 1, 2), 0))
 @given(ring_problems())
 def test_core_updates_without_chains_equal_the_solver_chains(problem):
     cores, x = ring_instance(problem)
     rng = np.random.default_rng(problem[2] + 1)
     sfx = _suffix_chains(cores)
-    prefix = None
+    sfx_t = _suffix_transfers([transfer(c) for c in cores])
+    prefix = prefix_t = None
     for n in range(1, len(cores) + 1):
         core = cores[n - 1]
         aux = [rng.standard_normal(core.shape) for _ in range(3)]
         duals = [rng.standard_normal(core.shape) for _ in range(3)]
         pair = (prefix, sfx[n])
+        pair_t = (prefix_t, sfx_t[n])
         np.testing.assert_array_equal(
             core_update_olrf(x, cores, aux, duals, n, 10.0, 2.0),
-            core_update_olrf(x, cores, aux, duals, n, 10.0, 2.0, chains=pair),
+            core_update_olrf(x, cores, aux, duals, n, 10.0, 2.0, chains=pair, transfers=pair_t),
         )
         np.testing.assert_array_equal(
             core_update_llrf(x, cores, aux, duals[0], n, 10.0, 2.0),
-            core_update_llrf(x, cores, aux, duals[0], n, 10.0, 2.0, chains=pair),
+            core_update_llrf(x, cores, aux, duals[0], n, 10.0, 2.0, chains=pair, transfers=pair_t),
         )
-        # the sweep extends the prefix as the solver loop does, up to cores 1..N-2
+        # the sweep extends the prefix as the solver loop does, up to cores
+        # 1..N-2, and the transfer prefix up to cores 1..N-1
         if n < len(cores) - 1:
             prefix = core if prefix is None else _merge(prefix, core)
+        if n < len(cores):
+            prefix_t = transfer(core) if prefix_t is None else prefix_t @ transfer(core)
 
 
 @st.composite

@@ -56,6 +56,21 @@ def test_config_validation(kw):
         SolverConfig(tr_rank=(2, 2), **kw)
 
 
+@pytest.mark.parametrize(
+    "ranks", [(2.5, 2.9, 2), (2.0, 2, 2), (float("inf"), 2, 2), (float("nan"), 2, 2)]
+)
+def test_config_rejects_non_integral_ranks(ranks):
+    # a float rank, even an integral one, is rejected rather than truncated
+    with pytest.raises(ValueError, match="is not an integer"):
+        SolverConfig(tr_rank=ranks)
+
+
+def test_config_accepts_numpy_integer_ranks():
+    cfg = SolverConfig(tr_rank=tuple(np.arange(2, 5)))
+    assert cfg.tr_rank.ranks == (2, 3, 4)
+    assert all(type(r) is int for r in cfg.tr_rank.ranks)
+
+
 def test_rse_hand_case():
     assert abs(rse(np.array([3.0, 0.0]), np.array([3.0, 4.0])) - 4.0 / 5.0) < 1e-15
 
@@ -142,6 +157,23 @@ def test_huge_tol_stops_after_one_iteration(name, solver):
 def test_observed_entries_pinned_bitwise(name, solver):
     truth, mask, obs = order4_instance()
     rep = solver(obs, mask, SolverConfig(tr_rank=(4, 5, 4, 5), max_iters=20))
+    np.testing.assert_array_equal(rep.final_x[mask], truth[mask])
+
+
+@pytest.mark.parametrize("name,solver", SOLVERS)
+def test_inputs_untouched_and_not_aliased(name, solver):
+    # the refill writes into the solver's own x in place: the caller's
+    # Fortran-ordered observed tensor and mask keep every bit
+    truth, mask = synth_instance((4, 5, 3), (2, 2, 2), 0.4, 3, std=0.5)
+    observed = np.asfortranarray(np.where(mask, truth, np.nan))
+    mask = np.asfortranarray(mask)
+    obs_bytes, mask_bytes = observed.tobytes(order="A"), mask.tobytes(order="A")
+    rep = solver(observed, mask, SolverConfig(tr_rank=(2, 2, 2), max_iters=10, seed=0))
+    assert rep.iterations == 10
+    assert observed.tobytes(order="A") == obs_bytes
+    assert mask.tobytes(order="A") == mask_bytes
+    assert not np.shares_memory(rep.final_x, observed)
+    assert not np.shares_memory(rep.final_x, mask)
     np.testing.assert_array_equal(rep.final_x[mask], truth[mask])
 
 
@@ -233,6 +265,33 @@ def test_sweep_merges_only_prefix_and_suffix_chains(monkeypatch, name, solver):
     assert len(merges) == 2 * (2 * order - 5)
     assert max(m.shape[1] for m in merges) <= longest
     assert unfolds == []
+
+
+@pytest.mark.parametrize("name,solver", SOLVERS)
+def test_sweep_carries_transfer_matrices(monkeypatch, name, solver):
+    # one transfer matrix per core before the first sweep and one per core
+    # update after it; the loop reads the Gram from the transfer products it
+    # holds and never rebuilds it through subchain_gram
+    shape = (3, 2, 3, 2, 3, 2)
+    order, iters = len(shape), 2
+    truth, mask = synth_instance(shape, (2,) * order, 0.5, 0, std=0.5)
+    transfers, grams = [], []
+
+    def counted(calls, fn):
+        def wrapped(*args):
+            calls.append(args)
+            return fn(*args)
+        return wrapped
+
+    for module in (trtc.solvers, trtc.ring):
+        monkeypatch.setattr(module, "transfer", counted(transfers, module.transfer))
+    for module in (trtc.prox, trtc.ring):
+        monkeypatch.setattr(module, "subchain_gram", counted(grams, module.subchain_gram))
+    rep = solver(np.where(mask, truth, np.nan), mask,
+                 SolverConfig(tr_rank=(2,) * order, tol=1e-300, max_iters=iters, seed=0))
+    assert rep.iterations == iters
+    assert len(transfers) == order + order * iters
+    assert grams == []
 
 
 def test_lambda_choices_all_recover():
