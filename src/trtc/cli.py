@@ -240,6 +240,10 @@ def bench_point(order, extent, rank, solver, iters, seed, missing_rate=0.5):
 
 
 def run_bench(orders, extent, rank, rank_grid, rank_axis_order, solver, iters, seed):
+    # checked before the first solve: with no timed iteration the warm-up
+    # would be timed instead
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
     rows = []
     for order in orders:
         med, mean = bench_point(order, extent, rank, solver, iters, seed)

@@ -24,8 +24,14 @@ class TensorFileError(Exception):
 
 
 def write_tensor(t, path):
-    """Write a tensor in the TRTC format; NaN entries are kept as written."""
+    """Write a tensor in the TRTC format; NaN entries are kept as written.
+
+    A tensor that read_tensor would reject (order 0, an extent below 1) is
+    refused before the file is opened.
+    """
     t = np.asarray(t, dtype=float)
+    if t.ndim < 1 or min(t.shape) < 1:
+        raise TensorFileError(f"cannot write a tensor of shape {t.shape}: order and extents must be >= 1")
     header = MAGIC + bytes([VERSION])
     dims = np.array((t.ndim,) + t.shape, dtype="<u8").tobytes()
     payload = t.astype("<f8").ravel(order="F").tobytes()

@@ -11,21 +11,13 @@ has a single unfolding: mu * sum_i M_ni + sum_i Y_ni with shift 3*mu for the
 overlapped model (three auxiliary tensors), mu * sum_i W_ni + Y_n with shift
 mu for the latent model.
 
-The data term Delta_n(X) Q^T is read from the two chains on either side of
-core n, the prefix (cores 1..n-1 merged) and the suffix (cores n+1..N
-merged), so neither the subchain nor an unfolding of X is formed. The ends
-keep their neighbour core out of the chain: mode 1 reads the suffix of cores
-3..N and core 2, mode N the prefix of cores 1..N-2 and core N-1, so no chain
-covers more than N-2 cores. A solver that sweeps the cores passes the
-(prefix, suffix) pair it already holds; without it the pair is built from
-the cores by ring.prefix_suffix.
-
-The Gram Q Q^T is read the same way from per-core transfer matrices
-T_k = sum_i G_k(i) kron G_k(i): suffix @ prefix of the products
-T_{n+1} (... T_N) and ((T_1 T_2) ...) T_{n-1}, one of them alone at the
-ends. A sweeping solver passes the pair of transfer products it holds;
-without it ring.subchain_gram forms them from the cores with the same
-association, so both calls give the same core bit for bit.
+The data term Delta_n(X) Q^T is read from the chains on either side of
+core n (ring.prefix_suffix) and the Gram Q Q^T from the transfer products
+beside it (ring.subchain_gram), so neither the subchain nor an unfolding of
+X is formed. A side with no cores on it is the identity, so the ends of the
+ring take the general paths. A solver that sweeps the cores passes the
+pairs it already holds as sides; without them they are built from the cores
+with the same association, so both calls give the same core bit for bit.
 """
 
 import math
@@ -90,23 +82,17 @@ def data_term(x, cores, n, prefix, suffix):
           rest against core 2;
       n = N: x as (A', I_{N-1}, I_N) against the prefix of cores 1..N-2,
           then the rest against core N-1.
-    At order 2 the other core is the whole subchain: one batched matmul
-    against its rank slices.
     """
     x = np.asarray(x)
     cs = _core_list(cores)
     shape = x.shape
     i_n = shape[n - 1]
-    if len(cs) == 2:
-        chain = cs[2 - n]  # (R_{n+1}, ., R_n)
-        xm = x if n == 1 else x.T
-        t = np.matmul(xm, chain.transpose(2, 1, 0)).transpose(1, 2, 0)
-    elif prefix is None:
+    if n == 1:
         b = math.prod(shape[2:])
         t = x.reshape(i_n * shape[1], b, order="F") @ suffix.transpose(1, 2, 0).reshape(b, -1)
         t = t.reshape(shape[1], i_n, -1, suffix.shape[0])  # [i_2, i_1, r_1, r_3]
         t = np.tensordot(t, cs[1], axes=([0, 3], [1, 2])).transpose(0, 2, 1)
-    elif suffix is None:
+    elif n == len(cs):
         a = math.prod(shape[:-2])
         t = x.reshape(a, -1, order="F").T @ prefix.transpose(1, 2, 0).reshape(a, -1)
         t = t.reshape(i_n, shape[-2], prefix.shape[2], -1)  # [i_N, i_{N-1}, r_{N-1}, r_1]
@@ -126,34 +112,36 @@ def data_term(x, cores, n, prefix, suffix):
     return t.reshape(i_n, -1)
 
 
-def _core_update(x, cores, n, lam, shift, reg, chains, transfers):
+def _core_update(x, cores, n, lam, shift, reg, sides):
     # solves G2 (lam Q Q^T + shift I) = lam Delta_n(X) Q^T + Gamma_2(reg)
     cs = _core_list(cores)
     core = cs[n - 1]
-    prefix, suffix = prefix_suffix(cs, n) if chains is None else chains
-    b = lam * data_term(x, cs, n, prefix, suffix) + gamma_unfold(reg, 2)
-    gram = subchain_gram(cs, n) if transfers is None else transfer_gram(*transfers)
+    if sides is None:
+        chains, gram = prefix_suffix(cs, n), subchain_gram(cs, n)
+    else:
+        chains, gram = sides[0], transfer_gram(*sides[1])
+    b = lam * data_term(x, cs, n, *chains) + gamma_unfold(reg, 2)
     a = lam * gram + shift * np.eye(core.shape[0] * core.shape[2])
     return gamma_fold(ridge_solve(b, a), 2, core.shape)
 
 
-def core_update_olrf(x, cores, aux, duals, n, lam, mu, chains=None, transfers=None):
+def core_update_olrf(x, cores, aux, duals, n, lam, mu, sides=None):
     """Minimizer of the overlapped-model core sub-objective for core n.
 
     aux and duals are the three auxiliary tensors M_ni and multipliers Y_ni,
-    each shaped like core n. chains, when given, must equal
-    prefix_suffix(cores, n) and transfers the (prefix, suffix) pair of
-    transfer products that ring.subchain_gram(cores, n) forms: a solver
+    each shaped like core n. sides, when given, is ((prefix, suffix),
+    (prefix_t, suffix_t)): the chains prefix_suffix(cores, n) and the pair
+    of transfer products that ring.subchain_gram(cores, n) forms. A solver
     that sweeps the cores passes the pairs it already holds.
     """
-    return _core_update(x, cores, n, lam, 3.0 * mu, mu * sum(aux) + sum(duals), chains, transfers)
+    return _core_update(x, cores, n, lam, 3.0 * mu, mu * sum(aux) + sum(duals), sides)
 
 
-def core_update_llrf(x, cores, latent, dual, n, lam, mu, chains=None, transfers=None):
+def core_update_llrf(x, cores, latent, dual, n, lam, mu, sides=None):
     """Minimizer of the latent-model core sub-objective for core n.
 
     latent holds the three latent tensors W_ni; dual is the single
-    multiplier Y_n for the constraint sum_i W_ni = G_n. chains and
-    transfers are the sweep's pairs, as for core_update_olrf.
+    multiplier Y_n for the constraint sum_i W_ni = G_n. sides is the
+    sweep's pairs, as for core_update_olrf.
     """
-    return _core_update(x, cores, n, lam, mu, mu * sum(latent) + dual, chains, transfers)
+    return _core_update(x, cores, n, lam, mu, mu * sum(latent) + dual, sides)

@@ -3,6 +3,10 @@
 A TR representation of an order-N tensor is a cyclic chain of order-3 cores
 G_n of shape (R_n, I_n, R_{n+1}) with R_{N+1} = R_1. Entry (i_1,...,i_N) is
 Trace(G_1(i_1) @ ... @ G_N(i_N)) where G_n(i) = cores[n][:, i, :].
+
+A side of the ring with no cores on it is the empty product, the identity:
+the chain identity_chain(R_1) and the transfer product eye(R_1^2). The ends
+of the ring and order 2 therefore take the same paths as every other mode.
 """
 
 import math
@@ -120,19 +124,36 @@ def _trace_contract(acc, last):
     return (right.T @ left.T).T
 
 
+def identity_chain(r):
+    """The empty chain: one identity slice of size r, shape (r, 1, r)."""
+    return np.eye(r).reshape(r, 1, r)
+
+
+def suffixes(items, combine, empty):
+    """Every right-to-left product of items, the empty product last.
+
+    out[k] is items[k:] combined as combine(items[k], out[k + 1]); the last
+    item is taken as it is rather than combined with empty, so len(items) - 1
+    combines are made. A left-to-right prefix likewise starts at empty and
+    is replaced, not combined, by its first item: a product with the identity
+    is exact in value, but can change the layout that later products read.
+    """
+    out = [empty]
+    for k, item in enumerate(reversed(items)):
+        out.append(item if k == 0 else combine(item, out[-1]))
+    return out[::-1]
+
+
 def reconstruct(cores):
     """Dense tensor represented by the cores.
 
     The prefix of cores 1..N-2 (merged left to right) is trace-contracted
     against the merged last pair G_{N-1} G_N, the contraction a solver sweep
-    makes with the prefix it already holds; at order 2 core 1 is contracted
-    against core 2. No chain of more than N-2 cores is formed.
+    makes with the prefix it already holds. No chain of more than N-2 cores
+    is formed.
     """
     cs = _core_list(cores)
-    if len(cs) == 2:
-        z = _trace_contract(cs[0], cs[1])
-    else:
-        z = _trace_contract(prefix_suffix(cs, len(cs))[0], _merge(cs[-2], cs[-1]))
+    z = _trace_contract(prefix_suffix(cs, len(cs))[0], _merge(cs[-2], cs[-1]))
     return z.reshape(tuple(c.shape[1] for c in cs), order="F")
 
 
@@ -160,22 +181,19 @@ def prefix_suffix(cores, n):
 
     For 1 < n < N: the prefix of cores 1..n-1, (R_1, A, R_n), and the suffix
     of cores n+1..N, (R_{n+1}, B, R_1). The ends keep their neighbour core
-    out of the chain: for n = 1 the prefix is None and the suffix is cores
-    3..N, for n = N the prefix is cores 1..N-2 and the suffix is None, so no
-    chain has more than N-2 cores (both are None at order 2). The prefix is
-    merged left to right and the suffix right to left, the order in which a
-    solver sweep builds them.
+    out of the chain: for n = 1 the prefix is empty and the suffix is cores
+    3..N, for n = N the prefix is cores 1..N-2 and the suffix is empty, so
+    no chain has more than N-2 cores. The prefix is merged left to right and
+    the suffix right to left, the order in which a solver sweep builds them.
     """
     cs = _core_list(cores)
     N = len(cs)
     if not 1 <= n <= N:
         raise ValueError(f"mode {n} out of range for order {N}")
-    prefix = suffix = None
-    for c in cs[:min(n - 1, N - 2)]:
-        prefix = c if prefix is None else _merge(prefix, c)
-    for c in reversed(cs[max(n, 2):]):
-        suffix = c if suffix is None else _merge(c, suffix)
-    return prefix, suffix
+    prefix = empty = identity_chain(cs[0].shape[0])
+    for k, c in enumerate(cs[:min(n - 1, N - 2)]):
+        prefix = c if k == 0 else _merge(prefix, c)
+    return prefix, suffixes(cs[max(n, 2):], _merge, empty)[0]
 
 
 def transfer(core):
@@ -194,15 +212,9 @@ def transfer_gram(prefix, suffix):
 
     prefix is ((T_1 T_2) ...) T_{n-1}, (R_1^2, R_n^2), and suffix is
     T_{n+1} (... T_N), (R_{n+1}^2, R_1^2); the Gram is suffix @ prefix,
-    reordered to the (r_n, r_{n+1}) columns of Delta_2. Mode 1 has no prefix
-    and mode N no suffix: the one product there is the whole chain.
+    reordered to the (r_n, r_{n+1}) columns of Delta_2.
     """
-    if prefix is None:
-        prod = suffix
-    elif suffix is None:
-        prod = prefix
-    else:
-        prod = suffix @ prefix
+    prod = suffix @ prefix
     rn1 = math.isqrt(prod.shape[0])
     rn = math.isqrt(prod.shape[1])
     p4 = prod.reshape(rn1, rn1, rn, rn)
@@ -223,14 +235,10 @@ def subchain_gram(cores, n):
     N = len(cs)
     if not 1 <= n <= N:
         raise ValueError(f"mode {n} out of range for order {N}")
-    prefix = suffix = None
-    for c in cs[:n - 1]:
-        t = transfer(c)
-        prefix = t if prefix is None else prefix @ t
-    for c in reversed(cs[n:]):
-        t = transfer(c)
-        suffix = t if suffix is None else t @ suffix
-    return transfer_gram(prefix, suffix)
+    prefix = empty = np.eye(cs[0].shape[0] ** 2)
+    for k, c in enumerate(cs[:n - 1]):
+        prefix = transfer(c) if k == 0 else prefix @ transfer(c)
+    return transfer_gram(prefix, suffixes([transfer(c) for c in cs[n:]], np.matmul, empty)[0])
 
 
 def eq2_residual(cores, x, n):

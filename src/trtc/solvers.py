@@ -22,23 +22,19 @@ tensors by SVT, refill the missing entries of x from the reconstruction,
 step the multipliers, grow mu. Stops when the relative change of x drops
 below tol.
 
-The core sweep never forms a chain of more than N-2 cores: the suffix chains
-of the not yet updated cores 3..N are built once per sweep, the prefix chain
-of refreshed cores is extended as the sweep advances up to cores 1..N-2, and
-the data term of core n reads the prefix and the suffix on either side of
-it (mode 1 the suffix of cores 3..N and core 2, mode N the prefix of cores
-1..N-2 and core N-1). The reconstruction contracts that prefix against the
-merged last pair G_{N-1} G_N, as ring.reconstruct does. That is 2N-5 merges
-per iteration. x stays first-index-fastest (Fortran order) for the whole
-solve, so the data term reads it without a copy.
-
-The Gram of each core update comes from transfer products held the same
-way. The transfer matrix of a core (ring.transfer) is computed once, right
-after the core is updated, and carried into the next sweep: N per
-iteration. The suffix products T_{n+1} (... T_N) of the not yet updated
-cores are built once per sweep, and the prefix product ((T_1 T_2) ...)
-T_{n-1} is extended as the sweep advances; ring.subchain_gram associates the
-same products, so it is not called from the loop.
+The core sweep holds the two sides of each core that ring.prefix_suffix
+and ring.subchain_gram would build, so neither is called from the loop.
+Every side starts the sweep empty, as the identity. The suffixes of the not
+yet updated cores (chains of cores 3..N, transfer products T_{n+1} (... T_N))
+are built once per sweep by ring.suffixes; the prefixes of refreshed cores
+are extended as the sweep advances, the chain up to cores 1..N-2 and the
+transfer product up to cores 1..N-1. The reconstruction contracts the chain
+prefix against the merged last pair G_{N-1} G_N, as ring.reconstruct does:
+2N-5 merges per iteration for N >= 3, the last pair alone at order 2. The
+transfer matrix of a core (ring.transfer) is computed once, right after the
+core is updated, and carried into the next sweep: N per iteration. x stays
+first-index-fastest (Fortran order) for the whole solve, so the data term
+reads it without a copy.
 
 The refill writes the reconstruction into the missing entries of x in
 place, through x's flat first-index-fastest view and the positions of the
@@ -54,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from .tensors import gamma_unfold, gamma_fold
-from .ring import TRCores, TRRank, _merge, _trace_contract, transfer
+from .ring import TRCores, TRRank, _merge, _trace_contract, identity_chain, suffixes, transfer
 from .prox import svt, core_update_olrf, core_update_llrf
 
 # penalty schedule, the same for every solve: mu starts at _MU0 and grows
@@ -140,8 +136,7 @@ def rse(estimate, truth, scope="all", mask=None):
 
 def _validate(observed, mask, cfg):
     observed = np.asarray(observed, dtype=float)
-    # first-index-fastest like x, so the refill keeps x Fortran-ordered
-    mask = np.asfortranarray(mask, dtype=bool)
+    mask = np.asarray(mask, dtype=bool)
     if mask.shape != observed.shape:
         raise ValueError("mask shape does not match tensor shape")
     if not mask.any():
@@ -163,8 +158,8 @@ class _Overlapped:
     # the kernels are looked up as module attributes at call time, so a
     # profiler that rebinds them (perfbench/tracing.py) sees every call
     @staticmethod
-    def core_update(x, cores, aux, y, n, lam, mu, chains, transfers):
-        return core_update_olrf(x, cores, aux, y, n, lam, mu, chains=chains, transfers=transfers)
+    def core_update(x, cores, aux, y, n, lam, mu, sides):
+        return core_update_olrf(x, cores, aux, y, n, lam, mu, sides=sides)
 
     @staticmethod
     def svt_target(g, aux, y, i, mu):
@@ -186,8 +181,8 @@ class _Latent:
         return np.zeros_like(core)
 
     @staticmethod
-    def core_update(x, cores, aux, y, n, lam, mu, chains, transfers):
-        return core_update_llrf(x, cores, aux, y, n, lam, mu, chains=chains, transfers=transfers)
+    def core_update(x, cores, aux, y, n, lam, mu, sides):
+        return core_update_llrf(x, cores, aux, y, n, lam, mu, sides=sides)
 
     @staticmethod
     def svt_target(g, aux, y, i, mu):
@@ -229,33 +224,6 @@ def init_state(observed, mask, cfg, model="olrf"):
     )
 
 
-def _suffix_chains(cores):
-    # sfx[n] is the suffix that prefix_suffix(cores, n) gives: cores[n:]
-    # merged right to left for 1 < n < N, cores[2:] for n = 1, None for n = N
-    # (and at order 2); merged here through this module's _merge, which a
-    # profiler can rebind
-    n = len(cores)
-    sfx = [None] * (n + 1)
-    if n > 2:
-        sfx[n - 1] = cores[n - 1]
-        for i in range(n - 2, 1, -1):
-            sfx[i] = _merge(cores[i], sfx[i + 1])
-        sfx[1] = sfx[2]
-    return sfx
-
-
-def _suffix_transfers(trans):
-    # sfx[n] is T_{n+1} (... T_N), the suffix transfer product that
-    # ring.subchain_gram forms for mode n (None for n = N), from the
-    # transfer matrices trans of the cores
-    n = len(trans)
-    sfx = [None] * (n + 1)
-    sfx[n - 1] = trans[n - 1]
-    for i in range(n - 2, 0, -1):
-        sfx[i] = trans[i] @ sfx[i + 1]
-    return sfx
-
-
 def _solve(name, observed, mask, cfg, truth=None):
     observed, mask = _validate(observed, mask, cfg)
     n_modes = observed.ndim
@@ -276,6 +244,7 @@ def _solve(name, observed, mask, cfg, truth=None):
         raise RuntimeError("x has no first-index-fastest flat view")
     missing = np.flatnonzero(~mask.ravel(order="F"))
     trans = [transfer(g) for g in cores]
+    r = cores[0].shape[0]
     scope = "missing" if not mask.all() else "all"
 
     rel_hist, rse_hist, cons_hist, iter_times, mu_hist = [], [], [], [], []
@@ -287,25 +256,27 @@ def _solve(name, observed, mask, cfg, truth=None):
         t_iter = time.perf_counter()
         mu_hist.append(mu)
         try:
-            # drop the last iteration's prefix and reconstruction before
-            # the suffix chains are built
-            prefix = z = prefix_t = None
-            sfx = _suffix_chains(cores)
-            sfx_t = _suffix_transfers(trans)
+            # drop the last iteration's reconstruction and prefix before
+            # the suffixes are built
+            z = None
+            prefix, prefix_t = identity_chain(r), np.eye(r * r)
+            sfx = suffixes(cores[2:], _merge, prefix)
+            sfx_t = suffixes(trans[1:], np.matmul, prefix_t)
             for n in range(1, n_modes + 1):
+                sides = ((prefix, sfx[max(n - 2, 0)]), (prefix_t, sfx_t[n - 1]))
                 g = model.core_update(
-                    x, cores, state.aux[n - 1], state.multipliers[n - 1], n, cfg.lam, mu,
-                    (prefix, sfx[n]), (prefix_t, sfx_t[n]),
+                    x, cores, state.aux[n - 1], state.multipliers[n - 1], n, cfg.lam, mu, sides,
                 )
                 cores[n - 1] = g
                 trans[n - 1] = t = transfer(g)
                 # the prefix stops at cores 1..N-2, which modes N-1 and N
                 # and the reconstruction read; the transfer prefix at
-                # cores 1..N-1, which mode N reads
+                # cores 1..N-1, which mode N reads. Core 1 replaces the
+                # identity rather than being merged into it
                 if n < n_modes - 1:
-                    prefix = g if prefix is None else _merge(prefix, g)
+                    prefix = g if n == 1 else _merge(prefix, g)
                 if n < n_modes:
-                    prefix_t = t if prefix_t is None else prefix_t @ t
+                    prefix_t = t if n == 1 else prefix_t @ t
 
             beta = 1.0 / mu
             for g, aux, y in zip(cores, state.aux, state.multipliers):
@@ -316,10 +287,7 @@ def _solve(name, observed, mask, cfg, truth=None):
 
             # the same contraction as ring.reconstruct, so final_x off the
             # mask is reconstruct(final_cores) bit for bit
-            if n_modes == 2:
-                z = _trace_contract(cores[0], cores[1])
-            else:
-                z = _trace_contract(prefix, _merge(cores[-2], cores[-1]))
+            z = _trace_contract(prefix, _merge(cores[-2], cores[-1]))
         except np.linalg.LinAlgError as e:
             raise DivergenceError(f"{name} iterate became non-finite at iteration {it}: {e}") from e
 

@@ -243,6 +243,15 @@ def test_sweep_bad_grid_or_repeats_exits_with_message(tmp_path, argv, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("iters", ["0", "-3"])
+def test_bench_bad_iters_exits_with_message(tmp_path, iters):
+    # a bench with no timed iteration is refused before the first solve
+    with pytest.raises(SystemExit, match=f"iters must be >= 1, got {iters}"):
+        main(["bench", "--orders", "3", "--extent", "4", "--rank-grid", "2",
+              "--iters", iters, "--out", f"{tmp_path}/b.csv"])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_rank_axis_argmin_near_generating_rank():
     # uniform-rank grid crossing the generating rank-sum; argmin should
     # land on one of the two bracketing grid points for both solvers

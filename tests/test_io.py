@@ -128,3 +128,14 @@ def test_values_stored_first_index_fastest(tmp_path):
     raw = p.read_bytes()
     vals = np.frombuffer(raw, dtype="<f8", offset=5 + 8 + 16)
     np.testing.assert_array_equal(vals, np.arange(6.0))
+
+
+@pytest.mark.parametrize("t", [np.array(1.5), np.zeros((0, 3)), np.zeros((2, 0, 2))],
+                         ids=["order0", "extent0", "inner-extent0"])
+def test_write_rejects_what_read_would_reject(tmp_path, t):
+    # order 0 and zero extents have no valid TRTC encoding: refused before
+    # the file is opened, so nothing is left at the path
+    p = tmp_path / "t.trtc"
+    with pytest.raises(TensorFileError, match="order and extents must be >= 1"):
+        write_tensor(t, p)
+    assert not p.exists()

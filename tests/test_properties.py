@@ -10,10 +10,10 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 from trtc import read_tensor, write_tensor, TensorFileError  # noqa: E402
 from trtc.tensors import gamma_unfold, gamma_fold, delta_unfold, delta_fold  # noqa: E402
 from trtc.ring import (  # noqa: E402
-    _merge, _trace_contract, element, prefix_suffix, reconstruct, subchain, subchain_gram, transfer,
+    _merge, _trace_contract, element, identity_chain, prefix_suffix, reconstruct, subchain,
+    subchain_gram, suffixes, transfer,
 )
 from trtc.prox import core_update_llrf, core_update_olrf, data_term  # noqa: E402
-from trtc.solvers import _suffix_chains, _suffix_transfers  # noqa: E402
 
 # orders 1-5, extents 1-4; any float64, NaN and infinities included
 ANY_TENSOR = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=5, min_side=1, max_side=4))
@@ -95,14 +95,19 @@ def layouts(x):
     return np.ascontiguousarray(x), np.asfortranarray(x), view
 
 
-def merged_extent(chain):
-    return 0 if chain is None else chain.shape[1]
+@given(rings())
+def test_merge_with_identity_chain_returns_the_core(cores):
+    # the empty side is exact: merging it in on either side changes no bit,
+    # but for a -0.0 entry, which comes back +0.0 (hence the + 0.0)
+    for c in cores:
+        assert same_bits(_merge(identity_chain(c.shape[0]), c), c + 0.0)
+        assert same_bits(_merge(c, identity_chain(c.shape[2])), c + 0.0)
 
 
 # (2, 2, 3, 2) makes every branch certain: mode 2 has A = 2 < B = 6, mode 3
 # has A = 4 >= B = 2, mode 1 reads the suffix of cores 3..4 and core 2, mode
 # N the prefix of cores 1..2 and core 3; order 3 has one-core chains at the
-# ends, order 2 none
+# ends, order 2 identity chains on both sides
 @example(((2, 2, 3, 2), (2, 3, 1, 2), 0))
 @example(((3, 2, 4), (2, 1, 3), 1))
 @example(((3, 2), (2, 3), 2))
@@ -114,13 +119,16 @@ def test_data_term_matches_dense_reference(problem):
     for n in range(1, order + 1):
         want = delta_unfold(x, n) @ delta_unfold(subchain(cores, n), 2)
         prefix, suffix = prefix_suffix(cores, n)
-        # the split: neither chain reaches the neighbour core of an end
-        if order > 2:
-            lo, hi = min(n - 1, order - 2), max(n, 2)
-            assert merged_extent(prefix) == (int(np.prod(extents[:lo])) if lo else 0)
-            assert merged_extent(suffix) == (int(np.prod(extents[hi:])) if hi < order else 0)
-        else:
-            assert prefix is None and suffix is None
+        # the split: neither chain reaches the neighbour core of an end,
+        # and a side with no cores on it is the identity chain
+        lo, hi = min(n - 1, order - 2), max(n, 2)
+        assert prefix.shape[1] == int(np.prod(extents[:lo]))
+        assert suffix.shape[1] == int(np.prod(extents[hi:]))
+        empty = identity_chain(cores[0].shape[0])
+        if lo == 0:
+            assert same_bits(prefix, empty)
+        if hi == order:
+            assert same_bits(suffix, empty)
         for xl in layouts(x):
             got = data_term(xl, cores, n, prefix, suffix)
             assert got.shape == want.shape
@@ -153,33 +161,37 @@ def test_subchain_gram_matches_dense_reference(problem):
 
 
 @example(((2, 2, 3, 2), (2, 3, 1, 2), 0))
+@example(((3, 2), (2, 3), 2))
 @given(ring_problems())
 def test_core_updates_without_chains_equal_the_solver_chains(problem):
+    # the sides a sweep holds: suffixes built once by ring.suffixes, prefixes
+    # extended from the identity as the solver loop extends them
     cores, x = ring_instance(problem)
+    order = len(cores)
     rng = np.random.default_rng(problem[2] + 1)
-    sfx = _suffix_chains(cores)
-    sfx_t = _suffix_transfers([transfer(c) for c in cores])
-    prefix = prefix_t = None
-    for n in range(1, len(cores) + 1):
+    r = cores[0].shape[0]
+    prefix, prefix_t = identity_chain(r), np.eye(r * r)
+    sfx = suffixes(cores[2:], _merge, prefix)
+    sfx_t = suffixes([transfer(c) for c in cores[1:]], np.matmul, prefix_t)
+    for n in range(1, order + 1):
         core = cores[n - 1]
         aux = [rng.standard_normal(core.shape) for _ in range(3)]
         duals = [rng.standard_normal(core.shape) for _ in range(3)]
-        pair = (prefix, sfx[n])
-        pair_t = (prefix_t, sfx_t[n])
+        sides = ((prefix, sfx[max(n - 2, 0)]), (prefix_t, sfx_t[n - 1]))
         np.testing.assert_array_equal(
             core_update_olrf(x, cores, aux, duals, n, 10.0, 2.0),
-            core_update_olrf(x, cores, aux, duals, n, 10.0, 2.0, chains=pair, transfers=pair_t),
+            core_update_olrf(x, cores, aux, duals, n, 10.0, 2.0, sides=sides),
         )
         np.testing.assert_array_equal(
             core_update_llrf(x, cores, aux, duals[0], n, 10.0, 2.0),
-            core_update_llrf(x, cores, aux, duals[0], n, 10.0, 2.0, chains=pair, transfers=pair_t),
+            core_update_llrf(x, cores, aux, duals[0], n, 10.0, 2.0, sides=sides),
         )
-        # the sweep extends the prefix as the solver loop does, up to cores
-        # 1..N-2, and the transfer prefix up to cores 1..N-1
-        if n < len(cores) - 1:
-            prefix = core if prefix is None else _merge(prefix, core)
-        if n < len(cores):
-            prefix_t = transfer(core) if prefix_t is None else prefix_t @ transfer(core)
+        # the chain prefix stops at cores 1..N-2 and the transfer prefix at
+        # cores 1..N-1; core 1 replaces the identity
+        if n < order - 1:
+            prefix = core if n == 1 else _merge(prefix, core)
+        if n < order:
+            prefix_t = transfer(core) if n == 1 else prefix_t @ transfer(core)
 
 
 @st.composite

@@ -163,18 +163,27 @@ def test_observed_entries_pinned_bitwise(name, solver):
 @pytest.mark.parametrize("name,solver", SOLVERS)
 def test_inputs_untouched_and_not_aliased(name, solver):
     # the refill writes into the solver's own x in place: the caller's
-    # Fortran-ordered observed tensor and mask keep every bit
+    # Fortran-ordered observed tensor and mask keep every bit, and a
+    # C-ordered mask gives the same solve bit for bit
     truth, mask = synth_instance((4, 5, 3), (2, 2, 2), 0.4, 3, std=0.5)
     observed = np.asfortranarray(np.where(mask, truth, np.nan))
-    mask = np.asfortranarray(mask)
-    obs_bytes, mask_bytes = observed.tobytes(order="A"), mask.tobytes(order="A")
-    rep = solver(observed, mask, SolverConfig(tr_rank=(2, 2, 2), max_iters=10, seed=0))
-    assert rep.iterations == 10
-    assert observed.tobytes(order="A") == obs_bytes
-    assert mask.tobytes(order="A") == mask_bytes
-    assert not np.shares_memory(rep.final_x, observed)
-    assert not np.shares_memory(rep.final_x, mask)
-    np.testing.assert_array_equal(rep.final_x[mask], truth[mask])
+    obs_bytes = observed.tobytes(order="A")
+    reports = []
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        m = layout(mask)
+        mask_bytes = m.tobytes(order="A")
+        rep = solver(observed, m, SolverConfig(tr_rank=(2, 2, 2), max_iters=10, seed=0))
+        assert rep.iterations == 10
+        assert observed.tobytes(order="A") == obs_bytes
+        assert m.tobytes(order="A") == mask_bytes
+        assert not np.shares_memory(rep.final_x, observed)
+        assert not np.shares_memory(rep.final_x, m)
+        np.testing.assert_array_equal(rep.final_x[mask], truth[mask])
+        reports.append(rep)
+    c_rep, f_rep = reports
+    assert c_rep.final_x.tobytes(order="F") == f_rep.final_x.tobytes(order="F")
+    for h in ("rel_change_history", "consistency_history", "mu_history"):
+        assert getattr(c_rep, h) == getattr(f_rep, h), h
 
 
 @pytest.mark.parametrize("name,solver", SOLVERS)
@@ -265,6 +274,33 @@ def test_sweep_merges_only_prefix_and_suffix_chains(monkeypatch, name, solver):
     assert len(merges) == 2 * (2 * order - 5)
     assert max(m.shape[1] for m in merges) <= longest
     assert unfolds == []
+
+
+@pytest.mark.parametrize("name,solver", SOLVERS)
+def test_loop_merges_and_contractions_go_through_the_solver_module(monkeypatch, name, solver):
+    # the benchmark's per-layer metrics count the merges and trace
+    # contractions through trtc.solvers._merge/_trace_contract alone: every
+    # one the loop makes must pass there, 2N-5 merges and one contraction
+    # per iteration
+    shape = (3, 2, 3, 2, 3, 2)
+    order, iters = len(shape), 2
+    truth, mask = synth_instance(shape, (2,) * order, 0.5, 0, std=0.5)
+    calls = {"_merge": 0, "_trace_contract": 0}
+
+    def counted(attr):
+        fn = getattr(trtc.solvers, attr)
+
+        def wrapped(*args):
+            calls[attr] += 1
+            return fn(*args)
+        return wrapped
+
+    for attr in calls:
+        monkeypatch.setattr(trtc.solvers, attr, counted(attr))
+    rep = solver(np.where(mask, truth, np.nan), mask,
+                 SolverConfig(tr_rank=(2,) * order, tol=1e-300, max_iters=iters, seed=0))
+    assert rep.iterations == iters
+    assert calls == {"_merge": iters * (2 * order - 5), "_trace_contract": iters}
 
 
 @pytest.mark.parametrize("name,solver", SOLVERS)
