@@ -14,10 +14,9 @@ mu for the latent model.
 The data term Delta_n(X) Q^T is read from the chains on either side of
 core n (ring.prefix_suffix) and the Gram Q Q^T from the transfer products
 beside it (ring.subchain_gram), so neither the subchain nor an unfolding of
-X is formed. A side with no cores on it is the identity, so the ends of the
-ring take the general paths. A solver that sweeps the cores passes the
-pairs it already holds as sides; without them they are built from the cores
-with the same association, so both calls give the same core bit for bit.
+X is formed. A solver that sweeps the cores passes the sides it already
+holds (ring.sweep); without them they are built from the cores the same
+way, so both calls give the same core bit for bit.
 """
 
 import math
@@ -129,10 +128,9 @@ def core_update_olrf(x, cores, aux, duals, n, lam, mu, sides=None):
     """Minimizer of the overlapped-model core sub-objective for core n.
 
     aux and duals are the three auxiliary tensors M_ni and multipliers Y_ni,
-    each shaped like core n. sides, when given, is ((prefix, suffix),
-    (prefix_t, suffix_t)): the chains prefix_suffix(cores, n) and the pair
-    of transfer products that ring.subchain_gram(cores, n) forms. A solver
-    that sweeps the cores passes the pairs it already holds.
+    each shaped like core n. sides, when given, is the n-th sides of a
+    ring.sweep over the cores and of one over their transfer matrices, the
+    pairs prefix_suffix(cores, n) and subchain_gram(cores, n) build.
     """
     return _core_update(x, cores, n, lam, 3.0 * mu, mu * sum(aux) + sum(duals), sides)
 

@@ -4,11 +4,12 @@ A TR representation of an order-N tensor is a cyclic chain of order-3 cores
 G_n of shape (R_n, I_n, R_{n+1}) with R_{N+1} = R_1. Entry (i_1,...,i_N) is
 Trace(G_1(i_1) @ ... @ G_N(i_N)) where G_n(i) = cores[n][:, i, :].
 
-A side of the ring with no cores on it is the empty product, the identity:
-the chain identity_chain(R_1) and the transfer product eye(R_1^2). The ends
-of the ring and order 2 therefore take the same paths as every other mode.
+The chains and transfer products beside each core are the sides of a sweep
+over the cores; sweep states which cores each side covers.
 """
 
+import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -129,31 +130,50 @@ def identity_chain(r):
     return np.eye(r).reshape(r, 1, r)
 
 
-def suffixes(items, combine, empty):
-    """Every right-to-left product of items, the empty product last.
+def sweep(items, combine, empty, skip):
+    """Sides (prefix, suffix) of items n = 1..N, as a Gauss-Seidel sweep reads them.
 
-    out[k] is items[k:] combined as combine(items[k], out[k + 1]); the last
-    item is taken as it is rather than combined with empty, so len(items) - 1
-    combines are made. A left-to-right prefix likewise starts at empty and
-    is replaced, not combined, by its first item: a product with the identity
-    is exact in value, but can change the layout that later products read.
+    The prefix is items 1..n-1 combined left to right, the suffix items
+    n+1..N combined right to left. A side with no items is empty, the
+    identity; its first item replaces empty rather than being combined with
+    it, a product that is exact in value but can change the layout later
+    products read. Every suffix is built before the first yield; after each
+    yield the prefix is extended with items[n-1] as the caller then holds
+    it, so a sweep that replaces item n after its update yields the sides of
+    the items as they now are. skip = 1 keeps each end's neighbour item out
+    of its side, as the chains of a data term need: the suffix of n = 1
+    starts at item 3 and the prefix stops at item N-2, so no side covers
+    more than N-2 items. skip = 0 gives the full sides, as for a Gram.
     """
-    out = [empty]
-    for k, item in enumerate(reversed(items)):
-        out.append(item if k == 0 else combine(item, out[-1]))
-    return out[::-1]
+    n_items = len(items)
+    suffixes = [empty]  # suffixes[k]: the last k items
+    for k, item in enumerate(reversed(items[1 + skip:])):
+        suffixes.append(item if k == 0 else combine(item, suffixes[-1]))
+    prefix = empty
+    for n in range(1, n_items + 1):
+        yield prefix, suffixes[n_items - max(n, 1 + skip)]
+        if n < n_items - skip:
+            prefix = items[0] if n == 1 else combine(prefix, items[n - 1])
+
+
+def _side(items, combine, empty, skip, n):
+    # the n-th sides of a sweep over items
+    if not 1 <= n <= len(items):
+        raise ValueError(f"mode {n} out of range for order {len(items)}")
+    return next(itertools.islice(sweep(items, combine, empty, skip), n - 1, None))
 
 
 def reconstruct(cores):
     """Dense tensor represented by the cores.
 
-    The prefix of cores 1..N-2 (merged left to right) is trace-contracted
-    against the merged last pair G_{N-1} G_N, the contraction a solver sweep
-    makes with the prefix it already holds. No chain of more than N-2 cores
-    is formed.
+    The chain prefix of core N, cores 1..N-2 merged left to right (the
+    identity at order 2), is trace-contracted against the merged last pair
+    G_{N-1} G_N, the contraction a solver sweep makes with the prefix it
+    already holds. No chain of more than N-2 cores is formed.
     """
-    cs = _core_list(cores)
-    z = _trace_contract(prefix_suffix(cs, len(cs))[0], _merge(cs[-2], cs[-1]))
+    cs = TRCores(cores).cores
+    prefix = functools.reduce(_merge, cs[1:-2], cs[0]) if len(cs) > 2 else identity_chain(cs[0].shape[0])
+    z = _trace_contract(prefix, _merge(cs[-2], cs[-1]))
     return z.reshape(tuple(c.shape[1] for c in cs), order="F")
 
 
@@ -179,21 +199,12 @@ def subchain(cores, n):
 def prefix_suffix(cores, n):
     """The two chains a data term for core n is contracted against.
 
-    For 1 < n < N: the prefix of cores 1..n-1, (R_1, A, R_n), and the suffix
-    of cores n+1..N, (R_{n+1}, B, R_1). The ends keep their neighbour core
-    out of the chain: for n = 1 the prefix is empty and the suffix is cores
-    3..N, for n = N the prefix is cores 1..N-2 and the suffix is empty, so
-    no chain has more than N-2 cores. The prefix is merged left to right and
-    the suffix right to left, the order in which a solver sweep builds them.
+    The n-th sides of a sweep over the cores with skip = 1: for 1 < n < N
+    the prefix of cores 1..n-1, (R_1, A, R_n), and the suffix of cores
+    n+1..N, (R_{n+1}, B, R_1).
     """
     cs = _core_list(cores)
-    N = len(cs)
-    if not 1 <= n <= N:
-        raise ValueError(f"mode {n} out of range for order {N}")
-    prefix = empty = identity_chain(cs[0].shape[0])
-    for k, c in enumerate(cs[:min(n - 1, N - 2)]):
-        prefix = c if k == 0 else _merge(prefix, c)
-    return prefix, suffixes(cs[max(n, 2):], _merge, empty)[0]
+    return _side(cs, _merge, identity_chain(cs[0].shape[0]), 1, n)
 
 
 def transfer(core):
@@ -225,26 +236,28 @@ def subchain_gram(cores, n):
     """Gram matrix Q_n Q_n^T = Delta_2(C)^T Delta_2(C) of the mode-n subchain.
 
     Computed through the per-core transfer matrices without materializing
-    the subchain, so the cost is polynomial in the ranks. The products are
-    associated as a solver sweep holds them: the prefix of cores 1..n-1
-    left to right, the suffix of cores n+1..N right to left, then
-    transfer_gram(prefix, suffix). A core update given the sweep's transfer
-    products therefore gets the same Gram bit for bit.
+    the subchain, so the cost is polynomial in the ranks: transfer_gram of
+    the n-th sides of a sweep over the transfers with skip = 0, the products
+    a solver sweep holds, so a core update given them gets the same Gram bit
+    for bit.
     """
     cs = _core_list(cores)
-    N = len(cs)
-    if not 1 <= n <= N:
-        raise ValueError(f"mode {n} out of range for order {N}")
-    prefix = empty = np.eye(cs[0].shape[0] ** 2)
-    for k, c in enumerate(cs[:n - 1]):
-        prefix = transfer(c) if k == 0 else prefix @ transfer(c)
-    return transfer_gram(prefix, suffixes([transfer(c) for c in cs[n:]], np.matmul, empty)[0])
+    return transfer_gram(*_side([transfer(c) for c in cs], np.matmul, np.eye(cs[0].shape[0] ** 2), 0, n))
+
+
+def _checked(cores, x):
+    # validated cores, and x if its shape is the cores' extents
+    tr = TRCores(cores)
+    x = np.asarray(x)
+    if x.shape != tr.shape:
+        raise ValueError(f"x shape {x.shape} does not match the cores' extents {tr.shape}")
+    return tr.cores, x
 
 
 def eq2_residual(cores, x, n):
     """Frobenius mismatch of Delta_n(x) against Gamma_2(G_n) Delta_2(C)^T."""
-    cs = _core_list(cores)
-    lhs = delta_unfold(np.asarray(x), n)
+    cs, x = _checked(cores, x)
+    lhs = delta_unfold(x, n)
     rhs = gamma_unfold(cs[n - 1], 2) @ delta_unfold(subchain(cs, n), 2).T
     return float(np.linalg.norm(lhs - rhs))
 
@@ -259,7 +272,7 @@ def numerical_rank(m, rel_tol=1e-8):
 
 def rank_inequality_check(cores, x, n, rel_tol=1e-8):
     """rank(Delta_n(x)) <= sum of ranks of the three unfoldings of core n."""
-    cs = _core_list(cores)
-    lhs = numerical_rank(delta_unfold(np.asarray(x), n), rel_tol)
+    cs, x = _checked(cores, x)
+    lhs = numerical_rank(delta_unfold(x, n), rel_tol)
     rhs = sum(numerical_rank(gamma_unfold(cs[n - 1], i), rel_tol) for i in (1, 2, 3))
     return lhs <= rhs

@@ -22,19 +22,12 @@ tensors by SVT, refill the missing entries of x from the reconstruction,
 step the multipliers, grow mu. Stops when the relative change of x drops
 below tol.
 
-The core sweep holds the two sides of each core that ring.prefix_suffix
-and ring.subchain_gram would build, so neither is called from the loop.
-Every side starts the sweep empty, as the identity. The suffixes of the not
-yet updated cores (chains of cores 3..N, transfer products T_{n+1} (... T_N))
-are built once per sweep by ring.suffixes; the prefixes of refreshed cores
-are extended as the sweep advances, the chain up to cores 1..N-2 and the
-transfer product up to cores 1..N-1. The reconstruction contracts the chain
-prefix against the merged last pair G_{N-1} G_N, as ring.reconstruct does:
-2N-5 merges per iteration for N >= 3, the last pair alone at order 2. The
-transfer matrix of a core (ring.transfer) is computed once, right after the
-core is updated, and carried into the next sweep: N per iteration. x stays
-first-index-fastest (Fortran order) for the whole solve, so the data term
-reads it without a copy.
+The core sweep reads the sides of each core from two ring.sweep generators,
+one over the cores (chains) and one over their transfer matrices, which are
+computed once per core update and carried into the next sweep; the
+reconstruction contracts the last chain prefix, as ring.reconstruct does.
+x stays first-index-fastest (Fortran order), so the data term reads it
+without a copy.
 
 The refill writes the reconstruction into the missing entries of x in
 place, through x's flat first-index-fastest view and the positions of the
@@ -50,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .tensors import gamma_unfold, gamma_fold
-from .ring import TRCores, TRRank, _merge, _trace_contract, identity_chain, suffixes, transfer
+from .ring import TRCores, TRRank, _merge, _trace_contract, identity_chain, sweep, transfer
 from .prox import svt, core_update_olrf, core_update_llrf
 
 # penalty schedule, the same for every solve: mu starts at _MU0 and grows
@@ -134,7 +127,7 @@ def rse(estimate, truth, scope="all", mask=None):
     return float(np.linalg.norm(e - t) / denom)
 
 
-def _validate(observed, mask, cfg):
+def _validate(observed, mask, cfg, truth=None):
     observed = np.asarray(observed, dtype=float)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != observed.shape:
@@ -147,7 +140,13 @@ def _validate(observed, mask, cfg):
         raise ValueError(
             f"rank vector of length {len(cfg.tr_rank)} incompatible with order-{observed.ndim} tensor"
         )
-    return observed, mask
+    if truth is not None:
+        truth = np.asarray(truth, dtype=float)
+        if truth.shape != observed.shape:
+            raise ValueError(f"truth shape {truth.shape} does not match tensor shape {observed.shape}")
+        if not np.isfinite(truth).all():
+            raise ValueError("truth entries must be finite")
+    return observed, mask, truth
 
 
 class _Overlapped:
@@ -225,8 +224,7 @@ def init_state(observed, mask, cfg, model="olrf"):
 
 
 def _solve(name, observed, mask, cfg, truth=None):
-    observed, mask = _validate(observed, mask, cfg)
-    n_modes = observed.ndim
+    observed, mask, truth = _validate(observed, mask, cfg, truth)
     state = init_state(observed, mask, cfg, name)
     model = MODELS[name]
     cores = state.cores
@@ -256,27 +254,16 @@ def _solve(name, observed, mask, cfg, truth=None):
         t_iter = time.perf_counter()
         mu_hist.append(mu)
         try:
-            # drop the last iteration's reconstruction and prefix before
-            # the suffixes are built
-            z = None
-            prefix, prefix_t = identity_chain(r), np.eye(r * r)
-            sfx = suffixes(cores[2:], _merge, prefix)
-            sfx_t = suffixes(trans[1:], np.matmul, prefix_t)
-            for n in range(1, n_modes + 1):
-                sides = ((prefix, sfx[max(n - 2, 0)]), (prefix_t, sfx_t[n - 1]))
+            # drop the last iteration's reconstruction and sides before the
+            # sweep builds its suffixes
+            z = sides = None
+            chains = sweep(cores, _merge, identity_chain(r), 1)
+            for n, sides in enumerate(zip(chains, sweep(trans, np.matmul, np.eye(r * r), 0)), start=1):
                 g = model.core_update(
                     x, cores, state.aux[n - 1], state.multipliers[n - 1], n, cfg.lam, mu, sides,
                 )
                 cores[n - 1] = g
-                trans[n - 1] = t = transfer(g)
-                # the prefix stops at cores 1..N-2, which modes N-1 and N
-                # and the reconstruction read; the transfer prefix at
-                # cores 1..N-1, which mode N reads. Core 1 replaces the
-                # identity rather than being merged into it
-                if n < n_modes - 1:
-                    prefix = g if n == 1 else _merge(prefix, g)
-                if n < n_modes:
-                    prefix_t = t if n == 1 else prefix_t @ t
+                trans[n - 1] = transfer(g)
 
             beta = 1.0 / mu
             for g, aux, y in zip(cores, state.aux, state.multipliers):
@@ -285,9 +272,10 @@ def _solve(name, observed, mask, cfg, truth=None):
                     hit = svt(gamma_unfold(target, i + 1), beta).matrix
                     aux[i] = gamma_fold(hit, i + 1, g.shape)
 
-            # the same contraction as ring.reconstruct, so final_x off the
-            # mask is reconstruct(final_cores) bit for bit
-            z = _trace_contract(prefix, _merge(cores[-2], cores[-1]))
+            # the last chain prefix (cores 1..N-2) against the last pair, as
+            # ring.reconstruct, so final_x off the mask is
+            # reconstruct(final_cores) bit for bit
+            z = _trace_contract(sides[0][0], _merge(cores[-2], cores[-1]))
         except np.linalg.LinAlgError as e:
             raise DivergenceError(f"{name} iterate became non-finite at iteration {it}: {e}") from e
 

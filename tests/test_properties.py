@@ -11,7 +11,7 @@ from trtc import read_tensor, write_tensor, TensorFileError  # noqa: E402
 from trtc.tensors import gamma_unfold, gamma_fold, delta_unfold, delta_fold  # noqa: E402
 from trtc.ring import (  # noqa: E402
     _merge, _trace_contract, element, identity_chain, prefix_suffix, reconstruct, subchain,
-    subchain_gram, suffixes, transfer,
+    subchain_gram, sweep, transfer, transfer_gram,
 )
 from trtc.prox import core_update_llrf, core_update_olrf, data_term  # noqa: E402
 
@@ -163,35 +163,31 @@ def test_subchain_gram_matches_dense_reference(problem):
 @example(((2, 2, 3, 2), (2, 3, 1, 2), 0))
 @example(((3, 2), (2, 3), 2))
 @given(ring_problems())
-def test_core_updates_without_chains_equal_the_solver_chains(problem):
-    # the sides a sweep holds: suffixes built once by ring.suffixes, prefixes
-    # extended from the identity as the solver loop extends them
+def test_gauss_seidel_sweep_yields_the_sides_of_the_current_cores(problem):
+    # a sweep that replaces each core after its update yields, for core n,
+    # the sides prefix_suffix and subchain_gram build afresh from the cores
+    # as they now are; a core update with those sides equals one without
     cores, x = ring_instance(problem)
-    order = len(cores)
     rng = np.random.default_rng(problem[2] + 1)
     r = cores[0].shape[0]
-    prefix, prefix_t = identity_chain(r), np.eye(r * r)
-    sfx = suffixes(cores[2:], _merge, prefix)
-    sfx_t = suffixes([transfer(c) for c in cores[1:]], np.matmul, prefix_t)
-    for n in range(1, order + 1):
+    trans = [transfer(c) for c in cores]
+    sides = zip(sweep(cores, _merge, identity_chain(r), 1), sweep(trans, np.matmul, np.eye(r * r), 0))
+    for n, (chains, products) in enumerate(sides, start=1):
+        assert all(same_bits(a, b) for a, b in zip(chains, prefix_suffix(cores, n)))
+        assert same_bits(transfer_gram(*products), subchain_gram(cores, n))
         core = cores[n - 1]
         aux = [rng.standard_normal(core.shape) for _ in range(3)]
         duals = [rng.standard_normal(core.shape) for _ in range(3)]
-        sides = ((prefix, sfx[max(n - 2, 0)]), (prefix_t, sfx_t[n - 1]))
-        np.testing.assert_array_equal(
-            core_update_olrf(x, cores, aux, duals, n, 10.0, 2.0),
-            core_update_olrf(x, cores, aux, duals, n, 10.0, 2.0, sides=sides),
-        )
         np.testing.assert_array_equal(
             core_update_llrf(x, cores, aux, duals[0], n, 10.0, 2.0),
-            core_update_llrf(x, cores, aux, duals[0], n, 10.0, 2.0, sides=sides),
+            core_update_llrf(x, cores, aux, duals[0], n, 10.0, 2.0, sides=(chains, products)),
         )
-        # the chain prefix stops at cores 1..N-2 and the transfer prefix at
-        # cores 1..N-1; core 1 replaces the identity
-        if n < order - 1:
-            prefix = core if n == 1 else _merge(prefix, core)
-        if n < order:
-            prefix_t = transfer(core) if n == 1 else prefix_t @ transfer(core)
+        new = core_update_olrf(x, cores, aux, duals, n, 10.0, 2.0)
+        np.testing.assert_array_equal(
+            new, core_update_olrf(x, cores, aux, duals, n, 10.0, 2.0, sides=(chains, products)),
+        )
+        cores[n - 1] = new
+        trans[n - 1] = transfer(new)
 
 
 @st.composite

@@ -241,3 +241,33 @@ def test_rank_one_cores_bound_unfolding_rank_by_three():
         assert numerical_rank(delta_unfold(x, n)) <= 3
         # each unfolding of a rank-1-bond core is rank <= 1 here
         assert sum(numerical_rank(gamma_unfold(np.asarray(cores[n - 1]), i)) for i in (1, 2, 3)) <= 3
+
+
+# malformed cores, the TRCores message each is rejected with, and an x of
+# the extents they would have
+MALFORMED = {
+    "one core": ([np.ones((2, 3, 2))], "at least two cores", (3,)),
+    "ranks do not chain": ([np.ones((2, 3, 2)), np.ones((3, 3, 2))], "tail rank", (3, 3)),
+    "order-2 cores": ([np.ones((2, 3)), np.ones((3, 2))], "order 3", (3, 3)),
+}
+RING_FUNCTIONS = {
+    "reconstruct": lambda cores, x: reconstruct(cores),
+    "eq2_residual": lambda cores, x: eq2_residual(cores, x, 1),
+    "rank_inequality_check": lambda cores, x: rank_inequality_check(cores, x, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize("fn", sorted(RING_FUNCTIONS))
+def test_ring_functions_reject_malformed_cores(fn, case):
+    cores, message, extents = MALFORMED[case]
+    with pytest.raises(ValueError, match=message):
+        RING_FUNCTIONS[fn](cores, np.ones(extents))
+
+
+@pytest.mark.parametrize("x_shape", [(3, 4), (5, 4, 3), (3, 4, 5, 1)])
+@pytest.mark.parametrize("fn", ["eq2_residual", "rank_inequality_check"])
+def test_ring_checks_reject_x_of_other_extents(fn, x_shape):
+    cores = random_cores(np.random.default_rng(18), (3, 4, 5), (2, 2, 2))
+    with pytest.raises(ValueError, match="does not match the cores' extents"):
+        RING_FUNCTIONS[fn](cores, np.ones(x_shape))

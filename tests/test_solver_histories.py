@@ -6,11 +6,14 @@ passed), recorded from the loop before it was rewritten as one loop over a
 model strategy. `solver_histories_ends.json` holds the same histories on an
 order-2 and an order-3 instance, where the two ends of the ring meet,
 recorded before the ends were contracted against the (N-2)-core chains.
-JSON numbers are written with `repr`, so every float round trips exactly.
+`solver_histories_long.json` holds them on an order-6 instance, the first
+whose chains take more than one merge, recorded before the sweep's sides
+were built by ring.sweep. JSON numbers are written with `repr`, so every float round trips exactly.
 To record a file again from a given checkout:
 
     PYTHONPATH=src python tests/test_solver_histories.py criterion5
     PYTHONPATH=src python tests/test_solver_histories.py ends
+    PYTHONPATH=src python tests/test_solver_histories.py long
 """
 
 import json
@@ -25,6 +28,7 @@ from trtc.cli import synth_instance
 
 FIXTURE = Path(__file__).with_name("solver_histories.json")
 ENDS_FIXTURE = Path(__file__).with_name("solver_histories_ends.json")
+LONG_FIXTURE = Path(__file__).with_name("solver_histories_long.json")
 SOLVERS = {"olrf": solve_olrf, "llrf": solve_llrf}
 HISTORIES = ("rel_change_history", "consistency_history", "mu_history", "rse_history")
 ITERS = 20
@@ -34,6 +38,7 @@ ENDS = {
     "order2": ((5, 6), (2, 2), 0.3, 0.5),
     "order3": ((5, 6, 4), (2, 3, 2), 0.3, 0.5),
 }
+LONG = {"order6": ((3, 2, 3, 2, 3, 2), (2,) * 6, 0.5, 1.0)}
 
 
 def _run(name, instance=CRITERION5):
@@ -62,6 +67,12 @@ def test_ring_end_histories_match_recorded_loop(name, instance):
     _check(_run(name, ENDS[instance]), json.loads(ENDS_FIXTURE.read_text())[instance][name])
 
 
+@pytest.mark.parametrize("instance", sorted(LONG))
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_long_ring_histories_match_recorded_loop(name, instance):
+    _check(_run(name, LONG[instance]), json.loads(LONG_FIXTURE.read_text())[instance][name])
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["criterion5"]:
         record = {name: _run(name) for name in sorted(SOLVERS)}
@@ -69,5 +80,8 @@ if __name__ == "__main__":
     elif sys.argv[1:] == ["ends"]:
         record = {k: {name: _run(name, ENDS[k]) for name in sorted(SOLVERS)} for k in sorted(ENDS)}
         ENDS_FIXTURE.write_text(json.dumps(record, indent=1) + "\n")
+    elif sys.argv[1:] == ["long"]:
+        record = {k: {name: _run(name, LONG[k]) for name in sorted(SOLVERS)} for k in sorted(LONG)}
+        LONG_FIXTURE.write_text(json.dumps(record, indent=1) + "\n")
     else:
-        sys.exit("usage: test_solver_histories.py criterion5|ends")
+        sys.exit("usage: test_solver_histories.py criterion5|ends|long")

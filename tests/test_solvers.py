@@ -131,6 +131,24 @@ def test_input_validation():
         solve_olrf(bad, mask, SolverConfig(tr_rank=(4, 5, 4, 5)))
 
 
+@pytest.mark.parametrize("bad,message", [
+    pytest.param(lambda t: t[:, :, :, :9], "truth shape", id="cut"),
+    pytest.param(lambda t: t.reshape(100, 100), "truth shape", id="reshaped"),
+    pytest.param(lambda t: np.where(t > 0.1, np.nan, t), "truth entries must be finite", id="nan"),
+    pytest.param(lambda t: np.full_like(t, np.inf), "truth entries must be finite", id="inf"),
+])
+@pytest.mark.parametrize("name,solver", SOLVERS)
+def test_truth_checked_before_the_first_iteration(monkeypatch, name, solver, bad, message):
+    truth, mask, obs = order4_instance()
+
+    def no_state(*args):
+        raise AssertionError("a bad truth reached init_state")
+
+    monkeypatch.setattr(trtc.solvers, "init_state", no_state)
+    with pytest.raises(ValueError, match=message):
+        solver(obs, mask, SolverConfig(tr_rank=(4, 5, 4, 5)), truth=bad(truth))
+
+
 @pytest.mark.parametrize("name,solver", SOLVERS)
 def test_fully_observed_fixed_point(name, solver):
     rng = np.random.default_rng(0)
