@@ -163,7 +163,7 @@ def test_subchain_gram_matches_dense_reference(problem):
 @example(((2, 2, 3, 2), (2, 3, 1, 2), 0))
 @example(((3, 2), (2, 3), 2))
 @given(ring_problems())
-def test_gauss_seidel_sweep_yields_the_sides_of_the_current_cores(problem):
+def test_core_updates_without_chains_equal_the_solver_chains(problem):
     # a sweep that replaces each core after its update yields, for core n,
     # the sides prefix_suffix and subchain_gram build afresh from the cores
     # as they now are; a core update with those sides equals one without
