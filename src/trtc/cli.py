@@ -128,7 +128,10 @@ def cmd_complete(args):
         if truth is not None:
             truth = truth.reshape(new_shape, order="F")
 
-    # the truth only scores the final tensor, below
+    # the truth only scores the final tensor, below; a truth that cannot
+    # score it is rejected before the solve writes any file
+    if truth is not None and np.linalg.norm(truth if mask.all() else truth[~mask]) == 0.0:
+        raise ValueError("truth has zero norm on the scored entries")
     report = _solve_file_pair(
         observed, mask, args.rank, args.solver, args.lam, args.tol,
         args.max_iters, args.seed,

@@ -10,17 +10,24 @@ is a small strategy class that says only what differs between them:
       each low-rank in one unfolding, with a single multiplier Y_n for the
       constraint sum_i W_ni = G_n.
 
-A model supplies new_multipliers(core), core_update(...) (the exact
-minimizer of its core sub-objective), svt_target(...) (the tensor whose
-i-th unfolding is thresholded into aux[i]) and dual_step(...) (multiplier
-ascent, returning the norm of the constraint residual). Adding a third model is one
-class and one entry in MODELS.
+A model supplies new_multipliers(shape), core_update(...) (the exact
+minimizer of its core sub-objective), svt_targets(...) (the tensors whose
+i-th unfoldings are thresholded into aux[i], in order i = 1, 2, 3) and
+dual_step(...) (multiplier ascent, returning the norm of each core's
+constraint residual). Adding a third model is one class and one entry in
+MODELS.
 
 Per iteration, in order: sweep the cores n = 1..N (Gauss-Seidel, each update
 sees the cores already refreshed this sweep), update the auxiliary/latent
 tensors by SVT, refill the missing entries of x from the reconstruction,
 step the multipliers, grow mu. Stops when the relative change of x drops
 below tol.
+
+The SVT and dual steps touch each core alone, so they run once per group
+of cores that share a shape (R_n, I_n, R_{n+1}): a ShapeGroup holds the
+group's auxiliary tensors and multipliers as stacks, and its cores are
+stacked once per iteration. OLRF's three SVT targets come from one
+G - Y/mu; LLRF stays Gauss-Seidel over the three latent tensors of a core.
 
 The core sweep reads the sides of each core from two ring.sweep generators,
 one over the cores (chains) and one over their transfer matrices, which are
@@ -81,11 +88,20 @@ class SolverConfig:
 
 
 @dataclass
+class ShapeGroup:
+    """The cores of one shape (R_n, I_n, R_{n+1}) and their stacked state."""
+    members: list            # indices of the m cores, in ring order
+    aux: np.ndarray          # (3, m, R_n, I_n, R_{n+1}): M_ni (olrf) or W_ni (llrf)
+    multipliers: np.ndarray  # (3, m, ...): Y_ni (olrf); (m, ...): Y_n (llrf)
+
+
+@dataclass
 class State:
     x: np.ndarray
     cores: list
-    aux: list          # aux[n][i], shaped like core n: M_ni (olrf) or W_ni (llrf)
-    multipliers: list  # per core: [Y_n1, Y_n2, Y_n3] (olrf) or Y_n (llrf)
+    groups: list       # one ShapeGroup per core shape
+    aux: list          # aux[n][i], a view into its group: M_ni (olrf) or W_ni (llrf)
+    multipliers: list  # per core, views: [Y_n1, Y_n2, Y_n3] (olrf) or Y_n (llrf)
 
 
 @dataclass
@@ -146,13 +162,16 @@ def _validate(observed, mask, cfg, truth=None):
             raise ValueError(f"truth shape {truth.shape} does not match tensor shape {observed.shape}")
         if not np.isfinite(truth).all():
             raise ValueError("truth entries must be finite")
+        # rse() scores the missing entries, or all of them when none is missing
+        if np.linalg.norm(truth if mask.all() else truth[~mask]) == 0.0:
+            raise ValueError("truth has zero norm on the scored entries")
     return observed, mask, truth
 
 
 class _Overlapped:
     @staticmethod
-    def new_multipliers(core):
-        return [np.zeros_like(core) for _ in range(3)]
+    def new_multipliers(shape):
+        return np.zeros((3,) + shape)
 
     # the kernels are looked up as module attributes at call time, so a
     # profiler that rebinds them (perfbench/tracing.py) sees every call
@@ -161,39 +180,39 @@ class _Overlapped:
         return core_update_olrf(x, cores, aux, y, n, lam, mu, sides=sides)
 
     @staticmethod
-    def svt_target(g, aux, y, i, mu):
-        return g - y[i] / mu
+    def svt_targets(g, aux, y, mu):
+        # the three SVTs are independent: all targets at once
+        return g - y / mu
 
     @staticmethod
     def dual_step(g, aux, y, mu):
-        res = 0.0
-        for i in range(3):
-            diff = aux[i] - g
-            y[i] += mu * diff
-            res = max(res, np.linalg.norm(diff))
-        return res
+        diff = aux - g
+        y += mu * diff
+        return np.linalg.norm(diff.reshape(3, len(g), -1), axis=2).max(axis=0)
 
 
 class _Latent:
     @staticmethod
-    def new_multipliers(core):
-        return np.zeros_like(core)
+    def new_multipliers(shape):
+        return np.zeros(shape)
 
     @staticmethod
     def core_update(x, cores, aux, y, n, lam, mu, sides):
         return core_update_llrf(x, cores, aux, y, n, lam, mu, sides=sides)
 
     @staticmethod
-    def svt_target(g, aux, y, i, mu):
-        # Gauss-Seidel over the three latent tensors, freshest first
-        others = sum(aux[j] for j in range(3) if j != i)
-        return g - y / mu - others
+    def svt_targets(g, aux, y, mu):
+        # Gauss-Seidel over the three latent tensors, freshest first: the
+        # loop writes aux[i] before it asks for the next target
+        base = g - y / mu
+        for i in range(3):
+            yield base - sum(aux[j] for j in range(3) if j != i)
 
     @staticmethod
     def dual_step(g, aux, y, mu):
         diff = sum(aux) - g
         y += mu * diff
-        return np.linalg.norm(diff)
+        return np.linalg.norm(diff.reshape(len(g), -1), axis=1)
 
 
 MODELS = {"olrf": _Overlapped, "llrf": _Latent}
@@ -202,7 +221,8 @@ MODELS = {"olrf": _Overlapped, "llrf": _Latent}
 def init_state(observed, mask, cfg, model="olrf"):
     """Initial solver state for validated input: N(0,1) cores, zero
     auxiliaries and multipliers, x = observed with missing entries set to
-    zero, first-index-fastest."""
+    zero, first-index-fastest. aux and multipliers are per-core views into
+    the stacks of the cores' ShapeGroups."""
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
     shape = observed.shape
@@ -215,12 +235,20 @@ def init_state(observed, mask, cfg, model="olrf"):
     ]
     x = np.zeros(shape, order="F")
     np.copyto(x, observed, where=mask)
-    return State(
-        x=x,
-        cores=cores,
-        aux=[[np.zeros_like(c) for _ in range(3)] for c in cores],
-        multipliers=[MODELS[model].new_multipliers(c) for c in cores],
-    )
+    by_shape = {}
+    for n, c in enumerate(cores):
+        by_shape.setdefault(c.shape, []).append(n)
+    groups = [
+        ShapeGroup(idx, np.zeros((3, len(idx)) + s), MODELS[model].new_multipliers((len(idx),) + s))
+        for s, idx in by_shape.items()
+    ]
+    aux, multipliers = [None] * n_modes, [None] * n_modes
+    for grp in groups:
+        for j, n in enumerate(grp.members):
+            # the stack axis is the fourth from last in every stack
+            aux[n] = grp.aux[..., j, :, :, :]
+            multipliers[n] = grp.multipliers[..., j, :, :, :]
+    return State(x=x, cores=cores, groups=groups, aux=aux, multipliers=multipliers)
 
 
 def _solve(name, observed, mask, cfg, truth=None):
@@ -265,12 +293,13 @@ def _solve(name, observed, mask, cfg, truth=None):
                 cores[n - 1] = g
                 trans[n - 1] = transfer(g)
 
+            # the prox half runs once per core shape, on the stacked cores
+            stacks = [np.stack([cores[n] for n in grp.members]) for grp in state.groups]
             beta = 1.0 / mu
-            for g, aux, y in zip(cores, state.aux, state.multipliers):
-                for i in range(3):
-                    target = model.svt_target(g, aux, y, i, mu)
-                    hit = svt(gamma_unfold(target, i + 1), beta).matrix
-                    aux[i] = gamma_fold(hit, i + 1, g.shape)
+            for grp, g in zip(state.groups, stacks):
+                for i, target in enumerate(model.svt_targets(g, grp.aux, grp.multipliers, mu)):
+                    hit = svt(gamma_unfold(target, i + 1, stacked=True), beta).matrix
+                    grp.aux[i] = gamma_fold(hit, i + 1, g.shape[1:])
 
             # the last chain prefix (cores 1..N-2) against the last pair, as
             # ring.reconstruct, so final_x off the mask is
@@ -285,8 +314,10 @@ def _solve(name, observed, mask, cfg, truth=None):
         x_flat[missing] = z_missing
 
         cons = 0.0
-        for g, aux, y in zip(cores, state.aux, state.multipliers):
-            cons = max(cons, model.dual_step(g, aux, y, mu) / (np.linalg.norm(g) or 1.0))
+        for grp, g in zip(state.groups, stacks):
+            res = model.dual_step(g, grp.aux, grp.multipliers, mu)
+            norms = np.linalg.norm(g.reshape(len(g), -1), axis=1)
+            cons = max(cons, float((res / np.where(norms == 0.0, 1.0, norms)).max()))
         mu = min(_RHO * mu, _MU_MAX)
 
         rel_hist.append(rel)

@@ -12,9 +12,9 @@ from functools import lru_cache
 import numpy as np
 
 
-def _check_mode(t, n):
-    if not 1 <= n <= t.ndim:
-        raise ValueError(f"mode {n} out of range for order-{t.ndim} tensor")
+def _check_mode(ndim, n):
+    if not 1 <= n <= ndim:
+        raise ValueError(f"mode {n} out of range for order-{ndim} tensor")
 
 
 @lru_cache(maxsize=None)
@@ -24,27 +24,40 @@ def _to_front(ndim, k):
     return perm, tuple(perm.index(i) for i in range(ndim))
 
 
-def gamma_unfold(t, n):
+def gamma_unfold(t, n, stacked=False):
     """Mode-n unfolding with the remaining modes in natural order.
 
     Rows are indexed by i_n; columns by (i_1,...,i_{n-1},i_{n+1},...,i_N)
-    with i_1 varying fastest.
+    with i_1 varying fastest. With stacked=True the first axis of t indexes
+    a stack of tensors, each unfolded alone into one matrix of an
+    (s, I_n, columns) stack.
     """
     t = np.asarray(t)
-    _check_mode(t, n)
-    k = n - 1
-    return t.transpose(_to_front(t.ndim, k)[0]).reshape(t.shape[k], -1, order="F")
+    if not stacked:
+        _check_mode(t.ndim, n)
+        return t.transpose(_to_front(t.ndim, n - 1)[0]).reshape(t.shape[n - 1], -1, order="F")
+    _check_mode(t.ndim - 1, n)
+    # the stack axis goes last, where a first-index-fastest reshape keeps it whole
+    perm = tuple(a + 1 for a in _to_front(t.ndim - 1, n - 1)[0]) + (0,)
+    return t.transpose(perm).reshape(t.shape[n], -1, len(t), order="F").transpose(2, 0, 1)
 
 
 def gamma_fold(m, n, shape):
-    """Inverse of gamma_unfold for the given tensor shape."""
+    """Inverse of gamma_unfold for the given tensor shape.
+
+    m is one unfolding or a stack of them (s, I_n, columns), which folds
+    into an (s, *shape) stack of tensors.
+    """
     m = np.asarray(m)
     shape = tuple(shape)
     k = n - 1
-    if m.shape != (shape[k], math.prod(shape) // shape[k]):
+    if m.ndim not in (2, 3) or m.shape[-2:] != (shape[k], math.prod(shape) // shape[k]):
         raise ValueError(f"matrix shape {m.shape} does not match mode {n} of {shape}")
     perm, inv = _to_front(len(shape), k)
-    return m.reshape(tuple(shape[i] for i in perm), order="F").transpose(inv)
+    folded = tuple(shape[i] for i in perm)
+    if m.ndim == 2:
+        return m.reshape(folded, order="F").transpose(inv)
+    return m.transpose(1, 2, 0).reshape(folded + (len(m),), order="F").transpose((len(shape),) + inv)
 
 
 def delta_unfold(t, n):
@@ -54,7 +67,7 @@ def delta_unfold(t, n):
     fastest. For n=1 this coincides with gamma_unfold.
     """
     t = np.asarray(t)
-    _check_mode(t, n)
+    _check_mode(t.ndim, n)
     k = n - 1
     perm = tuple(range(k, t.ndim)) + tuple(range(k))
     return t.transpose(perm).reshape(t.shape[k], -1, order="F")

@@ -7,7 +7,7 @@ import pytest
 import trtc.cli
 import trtc.solvers
 from trtc.cli import main, synth_instance, run_sweep, run_bench
-from trtc import read_tensor, reconstruct
+from trtc import read_tensor, reconstruct, write_tensor
 
 
 def read_csv(path):
@@ -208,6 +208,21 @@ def test_complete_scores_only_the_final_tensor(tmp_path, monkeypatch):
     row = dict(zip(header, rows[0]))
     assert float(row["rse_all"]) > 0.0
     assert float(row["rse_missing"]) > 0.0
+
+
+def test_complete_truth_zero_on_missing_fails_before_writing(tmp_path):
+    # rse_missing cannot be scored: the run stops before the solve, with no
+    # completed tensor, cores or CSV left behind
+    main(["synth", "--shape", "4,4,4", "--rank", "2,2,2", "--missing-rate", "0.3",
+          "--seed", "2", "--out", f"{tmp_path}/z"])
+    truth, _ = read_tensor(f"{tmp_path}/z_truth.trtc", require_complete=True)
+    _, mask = read_tensor(f"{tmp_path}/z_observed.trtc")
+    write_tensor(np.where(mask, truth, 0.0), f"{tmp_path}/z_zero.trtc")
+    with pytest.raises(SystemExit, match="truth has zero norm on the scored entries"):
+        main(["complete", "--in", f"{tmp_path}/z_observed.trtc",
+              "--truth", f"{tmp_path}/z_zero.trtc", "--solver", "olrf",
+              "--rank", "2,2,2", "--max-iters", "20", "--out", f"{tmp_path}/zfit"])
+    assert not [f.name for f in tmp_path.iterdir() if f.name.startswith("zfit")]
 
 
 def test_sweep_csv_schema_and_determinism(tmp_path):

@@ -13,7 +13,7 @@ from trtc.ring import (  # noqa: E402
     _merge, _trace_contract, element, identity_chain, prefix_suffix, reconstruct, subchain,
     subchain_gram, sweep, transfer, transfer_gram,
 )
-from trtc.prox import core_update_llrf, core_update_olrf, data_term  # noqa: E402
+from trtc.prox import core_update_llrf, core_update_olrf, data_term, svt  # noqa: E402
 
 # orders 1-5, extents 1-4; any float64, NaN and infinities included
 ANY_TENSOR = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=5, min_side=1, max_side=4))
@@ -33,6 +33,58 @@ def test_fold_of_unfold_is_bitwise_identity(t):
     for n in range(1, t.ndim + 1):
         assert same_bits(gamma_fold(gamma_unfold(t, n), n, t.shape), t)
         assert same_bits(delta_fold(delta_unfold(t, n), n, t.shape), t)
+    # t as a stack of tensors along its first axis: each unfolds alone
+    for n in range(1, t.ndim):
+        m = gamma_unfold(t, n, stacked=True)
+        assert all(same_bits(m[j], gamma_unfold(t[j], n)) for j in range(len(t)))
+        assert same_bits(gamma_fold(m, n, t.shape[1:]), t)
+
+
+@st.composite
+def matrix_stacks(draw):
+    # 1-5 matrices of one shape, tall, wide or square, up to 20 a side
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 20)), draw(st.integers(1, 20)))
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(shape)
+
+
+def stack_of(shape, seed):
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+# svt's product runs over all min(m, n) singular values, the thresholded
+# ones as zero terms. OpenBLAS (0.3.31, Haswell kernels) sums a product over
+# at most 15 terms in order, so the zero terms leave it bit for bit the
+# product over the kept values; over 16 or more it may associate the sum
+# otherwise, and the two agree to rounding. The unfoldings the benchmark and
+# the recorded histories threshold have at most 10 rows or columns.
+SUMMED_IN_ORDER = 15
+
+
+# tall, wide and square; a threshold of 0, thresholds that keep different
+# counts in the matrices of a stack, and one above the largest singular value
+@example(stack_of((3, 20, 6), 0), 0.0)
+@example(stack_of((2, 5, 9), 1), 0.5)
+@example(stack_of((4, 18, 18), 2), 0.4)
+@example(stack_of((5, 19, 17), 3), 1.01)
+@given(matrix_stacks(), st.one_of(st.just(0.0), st.floats(0.0, 1.2)))
+def test_stacked_svt_matches_the_per_matrix_truncated_product(a, frac):
+    beta = frac * np.linalg.svd(a, compute_uv=False).max()
+    res = svt(a, beta)
+    kept = 0
+    for j, aj in enumerate(a):
+        # stacking changes no bit of a matrix's result
+        assert same_bits(res.matrix[j], svt(aj, beta).matrix)
+        u, s, vt = np.linalg.svd(aj, full_matrices=False)
+        shrunk = np.maximum(s - beta, 0.0)
+        k = int(np.count_nonzero(shrunk))
+        want = (u[:, :k] * shrunk[:k]) @ vt[:k]
+        # equal values; a product of zero terms alone may come out -0.0
+        if len(s) <= SUMMED_IN_ORDER or k in (0, len(s)):
+            np.testing.assert_array_equal(res.matrix[j], want)
+        else:
+            np.testing.assert_allclose(res.matrix[j], want, rtol=0, atol=1e-13 * s[0])
+        kept += k
+    assert res.effective_rank == kept
 
 
 @st.composite

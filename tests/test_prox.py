@@ -78,6 +78,9 @@ def test_svt_nonexpansive():
 def test_svt_negative_threshold_raises():
     with pytest.raises(ValueError):
         svt(np.eye(2), -0.1)
+    # NaN compares false both ways: a NaN threshold would blank the matrix
+    with pytest.raises(ValueError):
+        svt(np.eye(3), float("nan"))
 
 
 def test_ridge_solve_identity_and_scaled_identity():

@@ -114,6 +114,15 @@ def test_init_state_contract():
     assert all(m.shape == c.shape for m, c in zip(s3.multipliers, s3.cores))
     assert all(np.all(m == 0) for m in s3.multipliers)
 
+    # cores 1, 3 and 2, 4 share a shape; each core's state is a view into
+    # its group's stacks
+    for s in (s1, s3):
+        assert [g.members for g in s.groups] == [[0, 2], [1, 3]]
+        for g in s.groups:
+            for n in g.members:
+                assert np.shares_memory(s.aux[n], g.aux)
+                assert np.shares_memory(s.multipliers[n], g.multipliers)
+
     cfg2 = SolverConfig(tr_rank=(4, 5, 4, 5), seed=4)
     s4 = init_state(obs, mask, cfg2, "olrf")
     assert not np.array_equal(s1.cores[0], s4.cores[0])
@@ -132,10 +141,11 @@ def test_input_validation():
 
 
 @pytest.mark.parametrize("bad,message", [
-    pytest.param(lambda t: t[:, :, :, :9], "truth shape", id="cut"),
-    pytest.param(lambda t: t.reshape(100, 100), "truth shape", id="reshaped"),
-    pytest.param(lambda t: np.where(t > 0.1, np.nan, t), "truth entries must be finite", id="nan"),
-    pytest.param(lambda t: np.full_like(t, np.inf), "truth entries must be finite", id="inf"),
+    pytest.param(lambda t, m: t[:, :, :, :9], "truth shape", id="cut"),
+    pytest.param(lambda t, m: t.reshape(100, 100), "truth shape", id="reshaped"),
+    pytest.param(lambda t, m: np.where(t > 0.1, np.nan, t), "truth entries must be finite", id="nan"),
+    pytest.param(lambda t, m: np.full_like(t, np.inf), "truth entries must be finite", id="inf"),
+    pytest.param(lambda t, m: np.where(m, t, 0.0), "zero norm on the scored entries", id="zero-on-missing"),
 ])
 @pytest.mark.parametrize("name,solver", SOLVERS)
 def test_truth_checked_before_the_first_iteration(monkeypatch, name, solver, bad, message):
@@ -146,7 +156,7 @@ def test_truth_checked_before_the_first_iteration(monkeypatch, name, solver, bad
 
     monkeypatch.setattr(trtc.solvers, "init_state", no_state)
     with pytest.raises(ValueError, match=message):
-        solver(obs, mask, SolverConfig(tr_rank=(4, 5, 4, 5)), truth=bad(truth))
+        solver(obs, mask, SolverConfig(tr_rank=(4, 5, 4, 5)), truth=bad(truth, mask))
 
 
 @pytest.mark.parametrize("name,solver", SOLVERS)
@@ -346,6 +356,33 @@ def test_sweep_carries_transfer_matrices(monkeypatch, name, solver):
     assert rep.iterations == iters
     assert len(transfers) == order + order * iters
     assert grams == []
+
+
+@pytest.mark.parametrize("shape,rank,groups", [
+    pytest.param((6, 6, 6, 6), (3,) * 4, 1, id="6^4"),
+    pytest.param((10, 10, 10, 10), (4, 5, 4, 5), 2, id="criterion5"),
+    pytest.param((5, 8, 5, 8, 4, 2, 2), (3,) * 7, 4, id="reshape7"),
+])
+@pytest.mark.parametrize("name,solver", SOLVERS)
+def test_one_svt_per_unfolding_and_core_shape(monkeypatch, name, solver, shape, rank, groups):
+    # the cores of one shape (R_n, I_n, R_{n+1}) are thresholded together:
+    # per iteration, three stacked SVTs per shape, every core in one stack
+    # per unfolding
+    order, iters = len(shape), 2
+    truth, mask = synth_instance(shape, rank, 0.5, 0, std=0.5)
+    stacked = []
+    svt = trtc.solvers.svt
+
+    def counted(a, beta):
+        stacked.append(len(a))
+        return svt(a, beta)
+
+    monkeypatch.setattr(trtc.solvers, "svt", counted)
+    rep = solver(np.where(mask, truth, np.nan), mask,
+                 SolverConfig(tr_rank=rank, tol=1e-300, max_iters=iters, seed=0))
+    assert rep.iterations == iters
+    assert len(stacked) == 3 * groups * iters
+    assert sum(stacked) == 3 * order * iters
 
 
 def test_lambda_choices_all_recover():
