@@ -25,7 +25,7 @@ import numpy as np
 
 from .io import TensorFileError, read_tensor, write_tensor
 from .ring import TRRank, reconstruct
-from .solvers import DivergenceError, SolverConfig, rse, solve_llrf, solve_olrf
+from .solvers import DivergenceError, SolverConfig, _scored, rse, solve_llrf, solve_olrf
 
 SOLVERS = {"olrf": solve_olrf, "llrf": solve_llrf}
 
@@ -92,11 +92,6 @@ def _write_csv(path, kind, header, rows):
         w.writerows(rows)
 
 
-def _solve_file_pair(observed, mask, ranks, solver, lam, tol, max_iters, seed):
-    cfg = SolverConfig(tr_rank=ranks, lam=lam, tol=tol, max_iters=max_iters, seed=seed)
-    return SOLVERS[solver](observed, mask, cfg)
-
-
 # ----------------------------------------------------------------- commands
 
 def cmd_synth(args):
@@ -130,12 +125,11 @@ def cmd_complete(args):
 
     # the truth only scores the final tensor, below; a truth that cannot
     # score it is rejected before the solve writes any file
-    if truth is not None and np.linalg.norm(truth if mask.all() else truth[~mask]) == 0.0:
+    if truth is not None and np.linalg.norm(truth[_scored(mask)]) == 0.0:
         raise ValueError("truth has zero norm on the scored entries")
-    report = _solve_file_pair(
-        observed, mask, args.rank, args.solver, args.lam, args.tol,
-        args.max_iters, args.seed,
-    )
+    cfg = SolverConfig(tr_rank=args.rank, lam=args.lam, tol=args.tol,
+                       max_iters=args.max_iters, seed=args.seed)
+    report = SOLVERS[args.solver](observed, mask, cfg)
     write_tensor(report.final_x, f"{args.out}_completed.trtc")
     for k, core in enumerate(report.final_cores, start=1):
         write_tensor(core, f"{args.out}_core{k}.trtc")
@@ -192,11 +186,10 @@ def run_sweep(axis, grid, shape, gen_rank, missing_rate, lam, solver_names,
                 run_seed = seed + j
                 truth, mask = synth_instance(shape, gen_rank, rate, run_seed, std)
                 observed = np.where(mask, truth, np.nan)
-                report = _solve_file_pair(
-                    observed, mask, solve_rank, solver, lam_here, tol, max_iters, run_seed,
-                )
-                scope = "missing" if not mask.all() else "all"
-                rses.append(rse(report.final_x, truth, scope, mask))
+                cfg = SolverConfig(tr_rank=solve_rank, lam=lam_here, tol=tol,
+                                   max_iters=max_iters, seed=run_seed)
+                report = SOLVERS[solver](observed, mask, cfg)
+                rses.append(rse(report.final_x, truth, "missing", mask))
                 iters.append(report.iterations)
                 conv += int(report.converged)
             rows.append([
@@ -227,14 +220,14 @@ def cmd_sweep(args):
     return 0
 
 
-def bench_point(order, extent, rank, solver, iters, seed, missing_rate=0.5):
-    """Median/mean seconds per iteration on one synthetic instance.
+def bench_point(order, extent, rank, solver, iters, seed):
+    """Median/mean seconds per iteration on one synthetic instance, half missing.
 
     Runs iters+1 iterations and drops the first (warm-up) before averaging.
     """
     shape = (extent,) * order
     ranks = (rank,) * order
-    truth, mask = synth_instance(shape, ranks, missing_rate, seed)
+    truth, mask = synth_instance(shape, ranks, 0.5, seed)
     observed = np.where(mask, truth, np.nan)
     cfg = SolverConfig(tr_rank=ranks, tol=1e-12, max_iters=iters + 1, seed=seed)
     report = SOLVERS[solver](observed, mask, cfg)

@@ -26,8 +26,8 @@ import numpy as np
 
 # delta_unfold is no longer called here; it stays a module attribute because
 # the benchmark's tracer (perfbench/tracing.py) wraps trtc.prox.delta_unfold
-from .tensors import delta_unfold, gamma_fold, gamma_unfold  # noqa: F401
-from .ring import _core_list, prefix_suffix, subchain_gram, transfer_gram
+from .tensors import _check_mode, delta_unfold, gamma_fold, gamma_unfold  # noqa: F401
+from .ring import _checked, _core_list, prefix_suffix, subchain_gram, transfer_gram
 
 
 @dataclass
@@ -88,19 +88,18 @@ def data_term(x, cores, n, prefix, suffix):
           then the rest against core N-1.
     """
     x = np.asarray(x)
-    cs = _core_list(cores)
     shape = x.shape
     i_n = shape[n - 1]
     if n == 1:
         b = math.prod(shape[2:])
         t = x.reshape(i_n * shape[1], b, order="F") @ suffix.transpose(1, 2, 0).reshape(b, -1)
         t = t.reshape(shape[1], i_n, -1, suffix.shape[0])  # [i_2, i_1, r_1, r_3]
-        t = np.tensordot(t, cs[1], axes=([0, 3], [1, 2])).transpose(0, 2, 1)
-    elif n == len(cs):
+        t = np.tensordot(t, cores[1], axes=([0, 3], [1, 2])).transpose(0, 2, 1)
+    elif n == len(cores):
         a = math.prod(shape[:-2])
         t = x.reshape(a, -1, order="F").T @ prefix.transpose(1, 2, 0).reshape(a, -1)
         t = t.reshape(i_n, shape[-2], prefix.shape[2], -1)  # [i_N, i_{N-1}, r_{N-1}, r_1]
-        t = np.tensordot(t, cs[-2], axes=([1, 2], [1, 0]))
+        t = np.tensordot(t, cores[-2], axes=([1, 2], [1, 0]))
     else:
         a = math.prod(shape[:n - 1])
         b = math.prod(shape[n:])
@@ -116,9 +115,19 @@ def data_term(x, cores, n, prefix, suffix):
     return t.reshape(i_n, -1)
 
 
-def _core_update(x, cores, n, lam, shift, reg, sides):
+def _operands(x, cores, n, sides, aux, duals, stack):
+    # cores and x, checked unless a sweep's sides come with them; aux must
+    # have shape (3,) + core n's, duals stack + core n's, so none broadcasts
+    cs, x = _checked(cores, x) if sides is None else (_core_list(cores), x)
+    _check_mode(len(cs), n)
+    shape = cs[n - 1].shape
+    if np.shape(aux) != (3,) + shape or np.shape(duals) != stack + shape:
+        raise ValueError(f"core {n} takes aux of shape {(3,) + shape}, multipliers of {stack + shape}")
+    return cs, x
+
+
+def _core_update(x, cs, n, lam, shift, reg, sides):
     # solves G2 (lam Q Q^T + shift I) = lam Delta_n(X) Q^T + Gamma_2(reg)
-    cs = _core_list(cores)
     core = cs[n - 1]
     if sides is None:
         chains, gram = prefix_suffix(cs, n), subchain_gram(cs, n)
@@ -137,7 +146,8 @@ def core_update_olrf(x, cores, aux, duals, n, lam, mu, sides=None):
     ring.sweep over the cores and of one over their transfer matrices, the
     pairs prefix_suffix(cores, n) and subchain_gram(cores, n) build.
     """
-    return _core_update(x, cores, n, lam, 3.0 * mu, mu * sum(aux) + sum(duals), sides)
+    cs, x = _operands(x, cores, n, sides, aux, duals, (3,))
+    return _core_update(x, cs, n, lam, 3.0 * mu, mu * sum(aux) + sum(duals), sides)
 
 
 def core_update_llrf(x, cores, latent, dual, n, lam, mu, sides=None):
@@ -147,4 +157,5 @@ def core_update_llrf(x, cores, latent, dual, n, lam, mu, sides=None):
     multiplier Y_n for the constraint sum_i W_ni = G_n. sides is the
     sweep's pairs, as for core_update_olrf.
     """
-    return _core_update(x, cores, n, lam, mu, mu * sum(latent) + dual, sides)
+    cs, x = _operands(x, cores, n, sides, latent, dual, ())
+    return _core_update(x, cs, n, lam, mu, mu * sum(latent) + dual, sides)

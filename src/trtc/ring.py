@@ -262,17 +262,17 @@ def eq2_residual(cores, x, n):
     return float(np.linalg.norm(lhs - rhs))
 
 
-def numerical_rank(m, rel_tol=1e-8):
-    """Count of singular values above rel_tol times the largest."""
+def numerical_rank(m):
+    """Count of singular values above 1e-8 times the largest."""
     s = np.linalg.svd(np.asarray(m), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+    return int(np.count_nonzero(s > 1e-8 * s[0]))
 
 
-def rank_inequality_check(cores, x, n, rel_tol=1e-8):
+def rank_inequality_check(cores, x, n):
     """rank(Delta_n(x)) <= sum of ranks of the three unfoldings of core n."""
     cs, x = _checked(cores, x)
-    lhs = numerical_rank(delta_unfold(x, n), rel_tol)
-    rhs = sum(numerical_rank(gamma_unfold(cs[n - 1], i), rel_tol) for i in (1, 2, 3))
+    lhs = numerical_rank(delta_unfold(x, n))
+    rhs = sum(numerical_rank(gamma_unfold(cs[n - 1], i)) for i in (1, 2, 3))
     return lhs <= rhs

@@ -118,28 +118,30 @@ class SolveReport:
     mu_history: list = field(default_factory=list)
 
 
+def _scored(mask):
+    # rse's "missing" scope: the missing entries, or a full view when none is
+    return ... if mask.all() else ~mask
+
+
 def rse(estimate, truth, scope="all", mask=None):
     """Relative error norm(estimate - truth) / norm(truth) on a scope.
 
-    scope "all" compares every entry; "missing" compares only entries where
-    mask is False (mask required).
+    scope "all" compares every entry; "missing" compares the entries where
+    mask is False, or every entry when mask has none (mask required).
     """
     estimate = np.asarray(estimate)
     truth = np.asarray(truth)
     if estimate.shape != truth.shape:
         raise ValueError("shape mismatch")
-    if scope == "all":
-        e, t = estimate, truth
-    elif scope == "missing":
-        if mask is None:
-            raise ValueError("missing scope needs the observation mask")
-        sel = ~np.asarray(mask, dtype=bool)
-        e, t = estimate[sel], truth[sel]
-    else:
+    if scope not in ("all", "missing"):
         raise ValueError(f"unknown scope {scope!r}")
+    if scope == "missing" and (mask is None or np.shape(mask) != truth.shape):
+        raise ValueError("missing scope needs an observation mask of the tensors' shape")
+    sel = ... if scope == "all" else _scored(np.asarray(mask, dtype=bool))
+    e, t = estimate[sel], truth[sel]
     denom = np.linalg.norm(t)
     if denom == 0.0:
-        raise ValueError("truth has zero norm on the requested scope")
+        raise ValueError("truth has zero norm on the scored entries")
     return float(np.linalg.norm(e - t) / denom)
 
 
@@ -150,8 +152,11 @@ def _validate(observed, mask, cfg, truth=None):
         raise ValueError("mask shape does not match tensor shape")
     if not mask.any():
         raise ValueError("observation mask is empty")
-    if not np.isfinite(observed[mask]).all():
+    obs = observed[mask]
+    if not np.isfinite(obs).all():
         raise ValueError("observed entries must be finite")
+    if np.linalg.norm(obs) == 0.0:
+        raise ValueError("observed entries are all zero")
     if len(cfg.tr_rank) != observed.ndim:
         raise ValueError(
             f"rank vector of length {len(cfg.tr_rank)} incompatible with order-{observed.ndim} tensor"
@@ -162,8 +167,7 @@ def _validate(observed, mask, cfg, truth=None):
             raise ValueError(f"truth shape {truth.shape} does not match tensor shape {observed.shape}")
         if not np.isfinite(truth).all():
             raise ValueError("truth entries must be finite")
-        # rse() scores the missing entries, or all of them when none is missing
-        if np.linalg.norm(truth if mask.all() else truth[~mask]) == 0.0:
+        if np.linalg.norm(truth[_scored(mask)]) == 0.0:
             raise ValueError("truth has zero norm on the scored entries")
     return observed, mask, truth
 
@@ -218,13 +222,11 @@ class _Latent:
 MODELS = {"olrf": _Overlapped, "llrf": _Latent}
 
 
-def init_state(observed, mask, cfg, model="olrf"):
-    """Initial solver state for validated input: N(0,1) cores, zero
-    auxiliaries and multipliers, x = observed with missing entries set to
-    zero, first-index-fastest. aux and multipliers are per-core views into
-    the stacks of the cores' ShapeGroups."""
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}")
+def init_state(observed, mask, cfg, model):
+    """Initial solver state for validated input and a model of MODELS:
+    N(0,1) cores, zero auxiliaries and multipliers, x = observed with missing
+    entries set to zero, first-index-fastest. aux and multipliers are
+    per-core views into the stacks of the cores' ShapeGroups."""
     shape = observed.shape
     ranks = cfg.tr_rank.ranks
     n_modes = len(shape)
@@ -260,24 +262,15 @@ def _solve(name, observed, mask, cfg, truth=None):
     mu = _MU0
 
     obs_norm = np.linalg.norm(x)
-    if obs_norm == 0.0:
-        raise ValueError("observed entries are all zero")
-    # the refill writes through x's first-index-fastest flat view at the
-    # positions of the missing entries; a reshape that copied would leave x
-    # stale, so the view is checked
     x_flat = x.reshape(-1, order="F")
-    if not np.shares_memory(x_flat, x):
-        raise RuntimeError("x has no first-index-fastest flat view")
     missing = np.flatnonzero(~mask.ravel(order="F"))
     trans = [transfer(g) for g in cores]
     r = cores[0].shape[0]
-    scope = "missing" if not mask.all() else "all"
 
     rel_hist, rse_hist, cons_hist, iter_times, mu_hist = [], [], [], [], []
     converged = False
     blowups = 0
     t_start = time.perf_counter()
-    it = 0
     for it in range(1, cfg.max_iters + 1):
         t_iter = time.perf_counter()
         mu_hist.append(mu)
@@ -323,7 +316,7 @@ def _solve(name, observed, mask, cfg, truth=None):
         rel_hist.append(rel)
         cons_hist.append(float(cons))
         if truth is not None:
-            rse_hist.append(rse(x, truth, scope, mask))
+            rse_hist.append(rse(x, truth, "missing", mask))
         iter_times.append(time.perf_counter() - t_iter)
 
         if not np.isfinite(rel) or rel > 1e3:

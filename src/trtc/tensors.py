@@ -73,18 +73,5 @@ def delta_unfold(t, n):
     return t.transpose(perm).reshape(t.shape[k], -1, order="F")
 
 
-def delta_fold(m, n, shape):
-    """Inverse of delta_unfold for the given tensor shape."""
-    m = np.asarray(m)
-    shape = tuple(shape)
-    k = n - 1
-    if m.shape != (shape[k], math.prod(shape) // shape[k]):
-        raise ValueError(f"matrix shape {m.shape} does not match mode {n} of {shape}")
-    perm = tuple(range(k, len(shape))) + tuple(range(k))
-    cyc = tuple(shape[i] for i in perm)
-    inv = np.argsort(perm)
-    return m.reshape(cyc, order="F").transpose(inv)
-
-
 def frobenius_norm(t):
     return float(np.linalg.norm(np.asarray(t).ravel()))

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from trtc import read_tensor, write_tensor, TensorFileError  # noqa: E402
-from trtc.tensors import gamma_unfold, gamma_fold, delta_unfold, delta_fold  # noqa: E402
+from trtc.tensors import gamma_unfold, gamma_fold, delta_unfold  # noqa: E402
 from trtc.ring import (  # noqa: E402
     _merge, _trace_contract, element, identity_chain, prefix_suffix, reconstruct, subchain,
     subchain_gram, sweep, transfer, transfer_gram,
@@ -32,7 +32,14 @@ def tensor_path(tmp_path_factory):
 def test_fold_of_unfold_is_bitwise_identity(t):
     for n in range(1, t.ndim + 1):
         assert same_bits(gamma_fold(gamma_unfold(t, n), n, t.shape), t)
-        assert same_bits(delta_fold(delta_unfold(t, n), n, t.shape), t)
+        # Delta_n entry by entry: row i_n, columns over modes n+1..N, 1..n-1,
+        # first listed fastest
+        rest = [(n - 1 + k) % t.ndim for k in range(1, t.ndim)]
+        strides = np.cumprod([1] + [t.shape[a] for a in rest])
+        want = np.empty((t.shape[n - 1], strides[-1]))
+        for idx in np.ndindex(*t.shape):
+            want[idx[n - 1], sum(idx[a] * s for a, s in zip(rest, strides))] = t[idx]
+        assert same_bits(delta_unfold(t, n), want)
     # t as a stack of tensors along its first axis: each unfolds alone
     for n in range(1, t.ndim):
         m = gamma_unfold(t, n, stacked=True)

@@ -133,6 +133,48 @@ def test_core_update_llrf_zero_lambda_closed_form():
     np.testing.assert_allclose(g, sum(latent) + dual / mu, atol=1e-12)
 
 
+def malformed(case, rng):
+    # a valid order-3 problem for core 2, of shape (2, 3, 2), and one fault
+    cores = [rng.standard_normal(s) for s in [(2, 4, 2), (2, 3, 2), (2, 5, 2)]]
+    x = rng.standard_normal((4, 3, 5))
+    aux = [rng.standard_normal((2, 3, 2)) for _ in range(3)]
+    duals = [rng.standard_normal((2, 3, 2)) for _ in range(3)]
+    if case == "aux-broadcast":
+        aux = [a[:, :, :1] for a in aux]
+    elif case == "aux-scalar-like":
+        aux = [np.ones((1, 1, 1))] * 3
+    elif case == "dual-scalar":
+        duals = [1.0] * 3
+    elif case == "two-aux":
+        aux = aux[:2]
+    elif case == "ranks-do-not-chain":
+        cores[2] = rng.standard_normal((3, 5, 2))
+    elif case == "x-of-other-extents":
+        x = rng.standard_normal((2, 3, 2))
+    return x, cores, aux, duals
+
+
+MALFORMED = {
+    "aux-broadcast": "takes aux of shape",
+    "aux-scalar-like": "takes aux of shape",
+    "dual-scalar": "multipliers of",
+    "two-aux": "takes aux of shape",
+    "ranks-do-not-chain": "tail rank",
+    "x-of-other-extents": "does not match the cores' extents",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize("model", ["olrf", "llrf"])
+def test_core_update_rejects_malformed_state(model, case):
+    x, cores, aux, duals = malformed(case, np.random.default_rng(12))
+    with pytest.raises(ValueError, match=MALFORMED[case]):
+        if model == "olrf":
+            core_update_olrf(x, cores, aux, duals, 2, 10.0, 2.0)
+        else:
+            core_update_llrf(x, cores, aux, duals[0], 2, 10.0, 2.0)
+
+
 def normal_system(x, cores, n, lam, extra):
     # direct assembly of G (lam Q Q^T + extra) = lam Dx Q^T + rhs_terms
     q = delta_unfold(subchain(cores, n), 2).T

@@ -86,6 +86,8 @@ def test_rse_extremes_and_errors():
     with pytest.raises(ValueError):
         rse(t, t, "missing")  # mask required
     with pytest.raises(ValueError):
+        rse(t, t, "missing", np.ones(3, dtype=bool))  # of the tensors' shape
+    with pytest.raises(ValueError):
         rse(t, t, "observed")
 
 
@@ -96,6 +98,8 @@ def test_rse_missing_scope():
     mask = np.array([[True, False], [True, True]])
     assert abs(rse(est, truth, "missing", mask) - 1.0) < 1e-15
     assert rse(est, truth, "all") > 0
+    # with no entry missing, the missing scope scores every entry
+    assert rse(est, truth, "missing", np.ones_like(mask)) == rse(est, truth, "all")
 
 
 def test_init_state_contract():
@@ -115,8 +119,10 @@ def test_init_state_contract():
     assert all(np.all(m == 0) for m in s3.multipliers)
 
     # cores 1, 3 and 2, 4 share a shape; each core's state is a view into
-    # its group's stacks
+    # its group's stacks. x is Fortran-ordered, so the refill can write
+    # through its first-index-fastest flat view
     for s in (s1, s3):
+        assert s.x.flags.f_contiguous
         assert [g.members for g in s.groups] == [[0, 2], [1, 3]]
         for g in s.groups:
             for n in g.members:
@@ -128,7 +134,7 @@ def test_init_state_contract():
     assert not np.array_equal(s1.cores[0], s4.cores[0])
 
 
-def test_input_validation():
+def test_input_validation(monkeypatch):
     truth, mask, obs = order4_instance()
     with pytest.raises(ValueError):
         solve_olrf(obs, np.zeros_like(mask), SolverConfig(tr_rank=(4, 5, 4, 5)))
@@ -138,6 +144,15 @@ def test_input_validation():
     bad[mask] = np.nan
     with pytest.raises(ValueError):
         solve_olrf(bad, mask, SolverConfig(tr_rank=(4, 5, 4, 5)))
+
+    # all-zero observed entries are rejected with the other input checks
+    def no_state(*args):
+        raise AssertionError("all-zero observed entries reached init_state")
+
+    monkeypatch.setattr(trtc.solvers, "init_state", no_state)
+    for _, solver in SOLVERS:
+        with pytest.raises(ValueError, match="observed entries are all zero"):
+            solver(np.where(mask, 0.0, np.nan), mask, SolverConfig(tr_rank=(4, 5, 4, 5)))
 
 
 @pytest.mark.parametrize("bad,message", [
