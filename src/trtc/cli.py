@@ -25,7 +25,7 @@ import numpy as np
 
 from .io import TensorFileError, read_tensor, write_tensor
 from .ring import TRRank, reconstruct
-from .solvers import DivergenceError, SolverConfig, _scored, rse, solve_llrf, solve_olrf
+from .solvers import DivergenceError, SolverConfig, _checked_truth, rse, solve_llrf, solve_olrf
 
 SOLVERS = {"olrf": solve_olrf, "llrf": solve_llrf}
 
@@ -107,9 +107,9 @@ def cmd_complete(args):
     observed, mask = read_tensor(args.infile)
     truth = None
     if args.truth:
-        truth, _ = read_tensor(args.truth, require_complete=True)
-        if truth.shape != observed.shape:
-            raise SystemExit(f"truth shape {truth.shape} != observed shape {observed.shape}")
+        # the truth only scores the final tensor, below; a truth that cannot
+        # score it is rejected before the solve writes any file
+        truth = _checked_truth(read_tensor(args.truth, require_complete=True)[0], mask)
     if args.reshape:
         new_shape = args.reshape
         if min(new_shape) < 1:
@@ -123,10 +123,6 @@ def cmd_complete(args):
         if truth is not None:
             truth = truth.reshape(new_shape, order="F")
 
-    # the truth only scores the final tensor, below; a truth that cannot
-    # score it is rejected before the solve writes any file
-    if truth is not None and np.linalg.norm(truth[_scored(mask)]) == 0.0:
-        raise ValueError("truth has zero norm on the scored entries")
     cfg = SolverConfig(tr_rank=args.rank, lam=args.lam, tol=args.tol,
                        max_iters=args.max_iters, seed=args.seed)
     report = SOLVERS[args.solver](observed, mask, cfg)

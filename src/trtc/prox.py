@@ -1,15 +1,17 @@
-"""Per-iteration kernels: singular value thresholding and the core updates.
+"""Per-iteration kernels: singular value thresholding and the core update.
 
 Both ADMM solvers alternate between SVT steps on core unfoldings and a
-regularized least-squares update of each core. The core update solves
+regularized least-squares update of each core. The two models differ only in
+the k constraints that tie core n to its three auxiliary tensors aux_i, each
+with its multiplier: k = 3 (M_ni = G_n) for the overlapped model, k = 1
+(sum_i W_ni = G_n) for the latent one. One formula updates the core for both:
 
-    G2 (lam * Q Q^T + shift * I) = lam * Delta_n(X) Q^T + Gamma_2(reg)
+    G2 (lam * Q Q^T + k * mu * I) = lam * Delta_n(X) Q^T + Gamma_2(mu * sum_i aux_i + sum_j Y_j)
 
-for G2 = Gamma_2(G_n), where Q = Delta_2(subchain)^T. Each model sums its
-regularizer into one tensor reg shaped like core n, so the right-hand side
-has a single unfolding: mu * sum_i M_ni + sum_i Y_ni with shift 3*mu for the
-overlapped model (three auxiliary tensors), mu * sum_i W_ni + Y_n with shift
-mu for the latent model.
+for G2 = Gamma_2(G_n), where Q = Delta_2(subchain)^T and the k multipliers
+Y_j come as one (k,) + core stack. core_update_olrf and core_update_llrf
+are its checked entry points; the latent model's single multiplier is
+passed as a stack of one.
 
 The data term Delta_n(X) Q^T is read from the chains on either side of
 core n (ring.prefix_suffix) and the Gram Q Q^T from the transfer products
@@ -115,27 +117,21 @@ def data_term(x, cores, n, prefix, suffix):
     return t.reshape(i_n, -1)
 
 
-def _operands(x, cores, n, sides, aux, duals, stack):
+def _core_update(x, cores, n, lam, mu, aux, duals, k, sides):
     # cores and x, checked unless a sweep's sides come with them; aux must
-    # have shape (3,) + core n's, duals stack + core n's, so none broadcasts
+    # have shape (3,) + core n's and duals (k,) + core n's, so none broadcasts
     cs, x = _checked(cores, x) if sides is None else (_core_list(cores), x)
     _check_mode(len(cs), n)
     shape = cs[n - 1].shape
-    if np.shape(aux) != (3,) + shape or np.shape(duals) != stack + shape:
-        raise ValueError(f"core {n} takes aux of shape {(3,) + shape}, multipliers of {stack + shape}")
-    return cs, x
-
-
-def _core_update(x, cs, n, lam, shift, reg, sides):
-    # solves G2 (lam Q Q^T + shift I) = lam Delta_n(X) Q^T + Gamma_2(reg)
-    core = cs[n - 1]
+    if np.shape(aux) != (3,) + shape or np.shape(duals) != (k,) + shape:
+        raise ValueError(f"core {n} takes aux of shape {(3,) + shape}, {k} multipliers of shape {shape}")
     if sides is None:
         chains, gram = prefix_suffix(cs, n), subchain_gram(cs, n)
     else:
         chains, gram = sides[0], transfer_gram(*sides[1])
-    b = lam * data_term(x, cs, n, *chains) + gamma_unfold(reg, 2)
-    a = lam * gram + shift * np.eye(core.shape[0] * core.shape[2])
-    return gamma_fold(ridge_solve(b, a), 2, core.shape)
+    b = lam * data_term(x, cs, n, *chains) + gamma_unfold(mu * sum(aux) + sum(duals), 2)
+    a = lam * gram + k * mu * np.eye(shape[0] * shape[2])
+    return gamma_fold(ridge_solve(b, a), 2, shape)
 
 
 def core_update_olrf(x, cores, aux, duals, n, lam, mu, sides=None):
@@ -146,8 +142,7 @@ def core_update_olrf(x, cores, aux, duals, n, lam, mu, sides=None):
     ring.sweep over the cores and of one over their transfer matrices, the
     pairs prefix_suffix(cores, n) and subchain_gram(cores, n) build.
     """
-    cs, x = _operands(x, cores, n, sides, aux, duals, (3,))
-    return _core_update(x, cs, n, lam, 3.0 * mu, mu * sum(aux) + sum(duals), sides)
+    return _core_update(x, cores, n, lam, mu, aux, duals, 3, sides)
 
 
 def core_update_llrf(x, cores, latent, dual, n, lam, mu, sides=None):
@@ -157,5 +152,4 @@ def core_update_llrf(x, cores, latent, dual, n, lam, mu, sides=None):
     multiplier Y_n for the constraint sum_i W_ni = G_n. sides is the
     sweep's pairs, as for core_update_olrf.
     """
-    cs, x = _operands(x, cores, n, sides, latent, dual, ())
-    return _core_update(x, cs, n, lam, mu, mu * sum(latent) + dual, sides)
+    return _core_update(x, cores, n, lam, mu, latent, np.asarray(dual)[None], 1, sides)

@@ -1,33 +1,37 @@
 """ADMM completion solvers on the tensor-ring format.
 
-One ADMM loop (Boyd et al. 2011) serves both models of the paper. A model
-is a small strategy class that says only what differs between them:
+One ADMM loop (Boyd et al. 2011) serves both models of the paper. Each core
+G_n has three auxiliary tensors, one per unfolding, and a model is only the
+constraint that ties them to the core:
 
-  olrf (overlapped, _Overlapped): each core G_n carries three auxiliary
-      tensors M_ni, one per unfolding, each with its own multiplier Y_ni and
-      the constraint M_ni = G_n.
-  llrf (latent, _Latent): each core is the sum of three latent tensors W_ni,
-      each low-rank in one unfolding, with a single multiplier Y_n for the
-      constraint sum_i W_ni = G_n.
+  olrf (overlapped, _Overlapped): k = 3 constraints M_ni = G_n, each with
+      its own multiplier Y_ni.
+  llrf (latent, _Latent): k = 1 constraint sum_i W_ni = G_n, with a single
+      multiplier Y_n; each latent tensor W_ni is low-rank in one unfolding.
 
-A model supplies new_multipliers(shape), core_update(...) (the exact
-minimizer of its core sub-objective), svt_targets(...) (the tensors whose
-i-th unfoldings are thresholded into aux[i], in order i = 1, 2, 3) and
-dual_step(...) (multiplier ascent, returning the norm of each core's
-constraint residual). Adding a third model is one class and one entry in
-MODELS.
+A model gives k, residual(g, aux) (the k constraint residuals as a stack:
+aux - g, or (sum_i aux_i - g)[None]), svt_target(g, aux, y, mu, i) (the
+tensor whose i-th unfolding is thresholded into aux[i]) and a one-line
+core_update that calls its kernel in trtc.prox, where one formula serves
+both models. The loop owns every step: the multipliers are a (k, ...) stack
+for both models, and one ascent y += mu * residual serves both. Adding a
+third model is one class and one entry in MODELS.
 
 Per iteration, in order: sweep the cores n = 1..N (Gauss-Seidel, each update
 sees the cores already refreshed this sweep), update the auxiliary/latent
 tensors by SVT, refill the missing entries of x from the reconstruction,
 step the multipliers, grow mu. Stops when the relative change of x drops
-below tol.
+below tol; a stop with the reconstruction collapsed toward zero (at most
+_COLLAPSE times the norm of the observed entries) is not converged.
 
 The SVT and dual steps touch each core alone, so they run once per group
 of cores that share a shape (R_n, I_n, R_{n+1}): a ShapeGroup holds the
-group's auxiliary tensors and multipliers as stacks, and its cores are
-stacked once per iteration. OLRF's three SVT targets come from one
-G - Y/mu; LLRF stays Gauss-Seidel over the three latent tensors of a core.
+group's auxiliary tensors (3, m, ...) and multipliers (k, m, ...) as
+stacks, and its cores are stacked once per iteration. The core sweep reads
+core n's slices grp.aux[:, j] and grp.multipliers[:, j] through one slot
+map. The SVT targets are taken in order i = 1, 2, 3, each after aux[i - 1]
+is written, so LLRF stays Gauss-Seidel over the three latent tensors of a
+core; OLRF's targets do not read aux.
 
 The core sweep reads the sides of each core from two ring.sweep generators,
 one over the cores (chains) and one over their transfer matrices, which are
@@ -58,6 +62,9 @@ from .prox import svt, core_update_olrf, core_update_llrf
 _MU0 = 1.0
 _MU_MAX = 100.0
 _RHO = 1.01
+# a solve that stops with its last reconstruction at most _COLLAPSE times
+# the norm of the observed entries has collapsed toward zero: not converged
+_COLLAPSE = 1e-3
 
 
 class DivergenceError(RuntimeError):
@@ -92,16 +99,14 @@ class ShapeGroup:
     """The cores of one shape (R_n, I_n, R_{n+1}) and their stacked state."""
     members: list            # indices of the m cores, in ring order
     aux: np.ndarray          # (3, m, R_n, I_n, R_{n+1}): M_ni (olrf) or W_ni (llrf)
-    multipliers: np.ndarray  # (3, m, ...): Y_ni (olrf); (m, ...): Y_n (llrf)
+    multipliers: np.ndarray  # (k, m, ...): Y_ni (olrf, k = 3) or Y_n (llrf, k = 1)
 
 
 @dataclass
 class State:
     x: np.ndarray
     cores: list
-    groups: list       # one ShapeGroup per core shape
-    aux: list          # aux[n][i], a view into its group: M_ni (olrf) or W_ni (llrf)
-    multipliers: list  # per core, views: [Y_n1, Y_n2, Y_n3] (olrf) or Y_n (llrf)
+    groups: list  # one ShapeGroup per core shape
 
 
 @dataclass
@@ -145,6 +150,18 @@ def rse(estimate, truth, scope="all", mask=None):
     return float(np.linalg.norm(e - t) / denom)
 
 
+def _checked_truth(truth, mask):
+    """truth as floats, checked to score a completion of mask's tensor."""
+    truth = np.asarray(truth, dtype=float)
+    if truth.shape != mask.shape:
+        raise ValueError(f"truth shape {truth.shape} does not match tensor shape {mask.shape}")
+    if not np.isfinite(truth).all():
+        raise ValueError("truth entries must be finite")
+    if np.linalg.norm(truth[_scored(mask)]) == 0.0:
+        raise ValueError("truth has zero norm on the scored entries")
+    return truth
+
+
 def _validate(observed, mask, cfg, truth=None):
     observed = np.asarray(observed, dtype=float)
     mask = np.asarray(mask, dtype=bool)
@@ -162,20 +179,12 @@ def _validate(observed, mask, cfg, truth=None):
             f"rank vector of length {len(cfg.tr_rank)} incompatible with order-{observed.ndim} tensor"
         )
     if truth is not None:
-        truth = np.asarray(truth, dtype=float)
-        if truth.shape != observed.shape:
-            raise ValueError(f"truth shape {truth.shape} does not match tensor shape {observed.shape}")
-        if not np.isfinite(truth).all():
-            raise ValueError("truth entries must be finite")
-        if np.linalg.norm(truth[_scored(mask)]) == 0.0:
-            raise ValueError("truth has zero norm on the scored entries")
+        truth = _checked_truth(truth, mask)
     return observed, mask, truth
 
 
 class _Overlapped:
-    @staticmethod
-    def new_multipliers(shape):
-        return np.zeros((3,) + shape)
+    k = 3  # M_ni = G_n, one constraint per unfolding
 
     # the kernels are looked up as module attributes at call time, so a
     # profiler that rebinds them (perfbench/tracing.py) sees every call
@@ -184,39 +193,30 @@ class _Overlapped:
         return core_update_olrf(x, cores, aux, y, n, lam, mu, sides=sides)
 
     @staticmethod
-    def svt_targets(g, aux, y, mu):
-        # the three SVTs are independent: all targets at once
-        return g - y / mu
+    def residual(g, aux):
+        return aux - g
 
     @staticmethod
-    def dual_step(g, aux, y, mu):
-        diff = aux - g
-        y += mu * diff
-        return np.linalg.norm(diff.reshape(3, len(g), -1), axis=2).max(axis=0)
+    def svt_target(g, aux, y, mu, i):
+        return g - y[i] / mu
 
 
 class _Latent:
-    @staticmethod
-    def new_multipliers(shape):
-        return np.zeros(shape)
+    k = 1  # sum_i W_ni = G_n
 
     @staticmethod
     def core_update(x, cores, aux, y, n, lam, mu, sides):
-        return core_update_llrf(x, cores, aux, y, n, lam, mu, sides=sides)
+        return core_update_llrf(x, cores, aux, y[0], n, lam, mu, sides=sides)
 
     @staticmethod
-    def svt_targets(g, aux, y, mu):
-        # Gauss-Seidel over the three latent tensors, freshest first: the
-        # loop writes aux[i] before it asks for the next target
-        base = g - y / mu
-        for i in range(3):
-            yield base - sum(aux[j] for j in range(3) if j != i)
+    def residual(g, aux):
+        return (sum(aux) - g)[None]
 
     @staticmethod
-    def dual_step(g, aux, y, mu):
-        diff = sum(aux) - g
-        y += mu * diff
-        return np.linalg.norm(diff.reshape(len(g), -1), axis=1)
+    def svt_target(g, aux, y, mu, i):
+        # Gauss-Seidel over the three latent tensors: the other two are the
+        # freshest the loop has written
+        return g - y[0] / mu - sum(aux[j] for j in range(3) if j != i)
 
 
 MODELS = {"olrf": _Overlapped, "llrf": _Latent}
@@ -225,8 +225,8 @@ MODELS = {"olrf": _Overlapped, "llrf": _Latent}
 def init_state(observed, mask, cfg, model):
     """Initial solver state for validated input and a model of MODELS:
     N(0,1) cores, zero auxiliaries and multipliers, x = observed with missing
-    entries set to zero, first-index-fastest. aux and multipliers are
-    per-core views into the stacks of the cores' ShapeGroups."""
+    entries set to zero, first-index-fastest. The auxiliary tensors and
+    multipliers live in the stacks of the cores' ShapeGroups."""
     shape = observed.shape
     ranks = cfg.tr_rank.ranks
     n_modes = len(shape)
@@ -240,17 +240,12 @@ def init_state(observed, mask, cfg, model):
     by_shape = {}
     for n, c in enumerate(cores):
         by_shape.setdefault(c.shape, []).append(n)
+    k = MODELS[model].k
     groups = [
-        ShapeGroup(idx, np.zeros((3, len(idx)) + s), MODELS[model].new_multipliers((len(idx),) + s))
+        ShapeGroup(idx, np.zeros((3, len(idx)) + s), np.zeros((k, len(idx)) + s))
         for s, idx in by_shape.items()
     ]
-    aux, multipliers = [None] * n_modes, [None] * n_modes
-    for grp in groups:
-        for j, n in enumerate(grp.members):
-            # the stack axis is the fourth from last in every stack
-            aux[n] = grp.aux[..., j, :, :, :]
-            multipliers[n] = grp.multipliers[..., j, :, :, :]
-    return State(x=x, cores=cores, groups=groups, aux=aux, multipliers=multipliers)
+    return State(x=x, cores=cores, groups=groups)
 
 
 def _solve(name, observed, mask, cfg, truth=None):
@@ -266,6 +261,8 @@ def _solve(name, observed, mask, cfg, truth=None):
     missing = np.flatnonzero(~mask.ravel(order="F"))
     trans = [transfer(g) for g in cores]
     r = cores[0].shape[0]
+    # core n's state is slice j of its group's stacks
+    slots = {n: (grp, j) for grp in state.groups for j, n in enumerate(grp.members)}
 
     rel_hist, rse_hist, cons_hist, iter_times, mu_hist = [], [], [], [], []
     converged = False
@@ -280,8 +277,9 @@ def _solve(name, observed, mask, cfg, truth=None):
             z = sides = None
             chains = sweep(cores, _merge, identity_chain(r), 1)
             for n, sides in enumerate(zip(chains, sweep(trans, np.matmul, np.eye(r * r), 0)), start=1):
+                grp, j = slots[n - 1]
                 g = model.core_update(
-                    x, cores, state.aux[n - 1], state.multipliers[n - 1], n, cfg.lam, mu, sides,
+                    x, cores, grp.aux[:, j], grp.multipliers[:, j], n, cfg.lam, mu, sides,
                 )
                 cores[n - 1] = g
                 trans[n - 1] = transfer(g)
@@ -290,7 +288,8 @@ def _solve(name, observed, mask, cfg, truth=None):
             stacks = [np.stack([cores[n] for n in grp.members]) for grp in state.groups]
             beta = 1.0 / mu
             for grp, g in zip(state.groups, stacks):
-                for i, target in enumerate(model.svt_targets(g, grp.aux, grp.multipliers, mu)):
+                for i in range(3):
+                    target = model.svt_target(g, grp.aux, grp.multipliers, mu, i)
                     hit = svt(gamma_unfold(target, i + 1, stacked=True), beta).matrix
                     grp.aux[i] = gamma_fold(hit, i + 1, g.shape[1:])
 
@@ -308,9 +307,12 @@ def _solve(name, observed, mask, cfg, truth=None):
 
         cons = 0.0
         for grp, g in zip(state.groups, stacks):
-            res = model.dual_step(g, grp.aux, grp.multipliers, mu)
+            res = model.residual(g, grp.aux)
+            grp.multipliers += mu * res
+            # each core's largest constraint residual, relative to the core
+            worst = np.linalg.norm(res.reshape(len(res), len(g), -1), axis=2).max(axis=0)
             norms = np.linalg.norm(g.reshape(len(g), -1), axis=1)
-            cons = max(cons, float((res / np.where(norms == 0.0, 1.0, norms)).max()))
+            cons = max(cons, float((worst / np.where(norms == 0.0, 1.0, norms)).max()))
         mu = min(_RHO * mu, _MU_MAX)
 
         rel_hist.append(rel)
@@ -329,7 +331,7 @@ def _solve(name, observed, mask, cfg, truth=None):
             blowups = 0
 
         if rel < cfg.tol:
-            converged = True
+            converged = bool(np.linalg.norm(z) > _COLLAPSE * obs_norm)
             break
 
     return SolveReport(

@@ -225,6 +225,23 @@ def test_complete_truth_zero_on_missing_fails_before_writing(tmp_path):
     assert not [f.name for f in tmp_path.iterdir() if f.name.startswith("zfit")]
 
 
+@pytest.mark.parametrize("where", ["missing", "observed"])
+def test_complete_nonfinite_truth_fails_before_writing(tmp_path, where):
+    # an inf entry in the truth would score the completion as nan; the run
+    # stops before the solve, with no completed tensor, cores or CSV
+    main(["synth", "--shape", "4,4,4", "--rank", "2,2,2", "--missing-rate", "0.3",
+          "--seed", "2", "--out", f"{tmp_path}/z"])
+    truth, _ = read_tensor(f"{tmp_path}/z_truth.trtc", require_complete=True)
+    _, mask = read_tensor(f"{tmp_path}/z_observed.trtc")
+    truth[tuple(np.argwhere(mask == (where == "observed"))[0])] = np.inf
+    write_tensor(truth, f"{tmp_path}/z_inf.trtc")
+    with pytest.raises(SystemExit, match="truth entries must be finite"):
+        main(["complete", "--in", f"{tmp_path}/z_observed.trtc",
+              "--truth", f"{tmp_path}/z_inf.trtc", "--solver", "olrf",
+              "--rank", "2,2,2", "--max-iters", "20", "--out", f"{tmp_path}/zfit"])
+    assert not [f.name for f in tmp_path.iterdir() if f.name.startswith("zfit")]
+
+
 def test_sweep_csv_schema_and_determinism(tmp_path):
     args = ["sweep", "--axis", "missing-rate", "--grid", "0.3,0.6",
             "--shape", "6,6,6", "--rank", "2,2,2", "--repeats", "2",

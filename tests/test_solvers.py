@@ -1,5 +1,8 @@
 """Solver loop behavior: fixed points, schedules, recovery, failure modes."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -109,25 +112,21 @@ def test_init_state_contract():
     s2 = init_state(obs, mask, cfg, "olrf")
     for a, b in zip(s1.cores, s2.cores):
         np.testing.assert_array_equal(a, b)
-    assert all(np.all(m == 0) for per in s1.multipliers for m in per)
-    assert all(np.all(m == 0) for per in s1.aux for m in per)
     assert np.all(s1.x[~mask] == 0.0)
     np.testing.assert_array_equal(s1.x[mask], truth[mask])
 
     s3 = init_state(obs, mask, cfg, "llrf")
-    assert all(m.shape == c.shape for m, c in zip(s3.multipliers, s3.cores))
-    assert all(np.all(m == 0) for m in s3.multipliers)
-
-    # cores 1, 3 and 2, 4 share a shape; each core's state is a view into
-    # its group's stacks. x is Fortran-ordered, so the refill can write
-    # through its first-index-fastest flat view
-    for s in (s1, s3):
+    # cores 1, 3 and 2, 4 share a shape; a group holds the state of its m
+    # cores as stacks: three auxiliary tensors and k zero multipliers each,
+    # k = 3 constraints for olrf and 1 for llrf. x is Fortran-ordered, so
+    # the refill can write through its first-index-fastest flat view
+    for s, k in ((s1, 3), (s3, 1)):
         assert s.x.flags.f_contiguous
         assert [g.members for g in s.groups] == [[0, 2], [1, 3]]
         for g in s.groups:
-            for n in g.members:
-                assert np.shares_memory(s.aux[n], g.aux)
-                assert np.shares_memory(s.multipliers[n], g.multipliers)
+            core = s.cores[g.members[0]].shape
+            assert g.aux.shape == (3, 2) + core and np.all(g.aux == 0)
+            assert g.multipliers.shape == (k, 2) + core and np.all(g.multipliers == 0)
 
     cfg2 = SolverConfig(tr_rank=(4, 5, 4, 5), seed=4)
     s4 = init_state(obs, mask, cfg2, "olrf")
@@ -194,6 +193,27 @@ def test_huge_tol_stops_after_one_iteration(name, solver):
     assert rep.iterations == 1
     assert rep.converged
     assert len(rep.rel_change_history) == 1
+
+
+COLLAPSING = [
+    pytest.param(solver, (3, 2, 3, 2, 3, 2), 2, 0.5, seed, id=f"{name}-323232-seed{seed}")
+    for name, solver in SOLVERS for seed in range(3)
+] + [
+    pytest.param(solve_olrf, (5, 8, 5, 8, 4, 2, 2), 3, 0.7, seed, id=f"olrf-order7-seed{seed}")
+    for seed in (1, 3, 5)
+]
+
+
+@pytest.mark.parametrize("solver,shape,rank,missing_rate,seed", COLLAPSING)
+def test_collapsed_solve_is_not_converged(solver, shape, rank, missing_rate, seed):
+    # the cores collapse toward zero in the first sweep, so the first
+    # relative change is already below tol; the stop is not convergence,
+    # since the last reconstruction is at most 1.1e-6 of the observed norm
+    truth, mask = synth_instance(shape, (rank,) * len(shape), missing_rate, 0, std=0.5)
+    rep = solver(np.where(mask, truth, np.nan), mask,
+                 SolverConfig(tr_rank=(rank,) * len(shape), seed=seed))
+    assert rep.converged is False
+    assert rep.iterations == 1
 
 
 @pytest.mark.parametrize("name,solver", SOLVERS)
@@ -319,23 +339,44 @@ def test_sweep_merges_only_prefix_and_suffix_chains(monkeypatch, name, solver):
     assert unfolds == []
 
 
+def traced_solver_names():
+    # the trtc.solvers attributes that the benchmark's tracer wraps
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return {attr for module, attr, _, _ in tracing.WRAPPED if module == "trtc.solvers"}
+
+
 @pytest.mark.parametrize("name,solver", SOLVERS)
 def test_loop_merges_and_contractions_go_through_the_solver_module(monkeypatch, name, solver):
-    # the benchmark's per-layer metrics count the merges and trace
-    # contractions through trtc.solvers._merge/_trace_contract alone: every
-    # one the loop makes must pass there, 2N-5 merges and one contraction
-    # per iteration
+    # the benchmark's per-layer metrics count the calls through the
+    # trtc.solvers attributes its tracer wraps: every one the loop makes
+    # must pass there. Per iteration, one core update per core, three SVTs,
+    # unfolds and folds per core shape, 2N-5 merges and one trace
+    # contraction; one input check per solve
     shape = (3, 2, 3, 2, 3, 2)
-    order, iters = len(shape), 2
+    order, iters, shapes = len(shape), 2, 2
     truth, mask = synth_instance(shape, (2,) * order, 0.5, 0, std=0.5)
-    calls = {"_merge": 0, "_trace_contract": 0}
+    expected = {
+        "core_update_olrf": iters * order if name == "olrf" else 0,
+        "core_update_llrf": iters * order if name == "llrf" else 0,
+        "svt": iters * 3 * shapes,
+        "gamma_unfold": iters * 3 * shapes,
+        "gamma_fold": iters * 3 * shapes,
+        "_merge": iters * (2 * order - 5),
+        "_trace_contract": iters,
+        "_validate": 1,
+    }
+    assert set(expected) == traced_solver_names()
+    calls = dict.fromkeys(expected, 0)
 
     def counted(attr):
         fn = getattr(trtc.solvers, attr)
 
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             calls[attr] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapped
 
     for attr in calls:
@@ -343,7 +384,7 @@ def test_loop_merges_and_contractions_go_through_the_solver_module(monkeypatch, 
     rep = solver(np.where(mask, truth, np.nan), mask,
                  SolverConfig(tr_rank=(2,) * order, tol=1e-300, max_iters=iters, seed=0))
     assert rep.iterations == iters
-    assert calls == {"_merge": iters * (2 * order - 5), "_trace_contract": iters}
+    assert calls == expected
 
 
 @pytest.mark.parametrize("name,solver", SOLVERS)
