@@ -13,15 +13,17 @@ Y_j come as one (k,) + core stack. core_update_olrf and core_update_llrf
 are its checked entry points; the latent model's single multiplier is
 passed as a stack of one.
 
-The data term Delta_n(X) Q^T is read from the chains on either side of
-core n (ring.prefix_suffix) and the Gram Q Q^T from the transfer products
-beside it (ring.subchain_gram), so neither the subchain nor an unfolding of
-X is formed. A solver that sweeps the cores passes the sides it already
-holds (ring.sweep); without them they are built from the cores the same
+The data term Delta_n(X) Q^T is read from the sides of core n in a
+ring.data_sweep, which splits the ring in two halves and contracts X once
+per half: one of the two sides already holds X contracted with every core
+but core n and those of the other side, a chain, so the data term is one
+small contraction of the two sides. The Gram Q Q^T is read from the transfer
+products beside core n (ring.subchain_gram), so neither the subchain nor an
+unfolding of X is formed. A solver that sweeps the cores passes the sides it
+already holds; without them they are built from X and the cores the same
 way, so both calls give the same core bit for bit.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +31,7 @@ import numpy as np
 # delta_unfold is no longer called here; it stays a module attribute because
 # the benchmark's tracer (perfbench/tracing.py) wraps trtc.prox.delta_unfold
 from .tensors import _check_mode, delta_unfold, gamma_fold, gamma_unfold  # noqa: F401
-from .ring import _checked, _core_list, prefix_suffix, subchain_gram, transfer_gram
+from .ring import _checked, _core_list, data_sides, subchain_gram, transfer_gram
 
 
 @dataclass
@@ -74,62 +76,39 @@ def ridge_solve(b, a):
     return np.linalg.solve(a, b.T).T
 
 
-def data_term(x, cores, n, prefix, suffix):
-    """Delta_n(x) @ Delta_2(subchain_n), from the chains prefix_suffix(cores, n).
+def data_term(prefix, suffix):
+    """Delta_n(x) @ Delta_2(subchain_n), from the n-th sides of ring.data_sweep.
 
-    x is read through a first-index-fastest view, free for a Fortran-ordered
-    x, and its largest group of modes is contracted first, in one gemm
-    against a chain of at most N-2 cores; the small (., ., R, R) rest is
-    contracted against the other chain or the neighbour core:
-      1 < n < N: x as (A, I_n, B), the larger of A and B against its chain
-          (prefix (R_1, A, R_n) or suffix (R_{n+1}, B, R_1)), then the rest
-          against the other chain;
-      n = 1: x as (I_1, I_2, B') against the suffix of cores 3..N, then the
-          rest against core 2;
-      n = N: x as (A', I_{N-1}, I_N) against the prefix of cores 1..N-2,
-          then the rest against core N-1.
+    One side has x contracted into it, and the one contraction left, over
+    the merged index and r_1, is against the other side's chain; m is
+    ring.split_mode(x.shape):
+      n <= m: suffix U_n (I_n, A, R_1, R_{n+1}) against the prefix chain
+          (R_1, A, R_n);
+      n > m: prefix V_n (B, I_n, R_1, R_n) against the suffix chain
+          (R_{n+1}, B, R_1).
     """
-    x = np.asarray(x)
-    shape = x.shape
-    i_n = shape[n - 1]
-    if n == 1:
-        b = math.prod(shape[2:])
-        t = x.reshape(i_n * shape[1], b, order="F") @ suffix.transpose(1, 2, 0).reshape(b, -1)
-        t = t.reshape(shape[1], i_n, -1, suffix.shape[0])  # [i_2, i_1, r_1, r_3]
-        t = np.tensordot(t, cores[1], axes=([0, 3], [1, 2])).transpose(0, 2, 1)
-    elif n == len(cores):
-        a = math.prod(shape[:-2])
-        t = x.reshape(a, -1, order="F").T @ prefix.transpose(1, 2, 0).reshape(a, -1)
-        t = t.reshape(i_n, shape[-2], prefix.shape[2], -1)  # [i_N, i_{N-1}, r_{N-1}, r_1]
-        t = np.tensordot(t, cores[-2], axes=([1, 2], [1, 0]))
+    if suffix.ndim == 4:
+        t = np.tensordot(suffix, prefix, axes=([1, 2], [1, 0]))  # [i_n, r_{n+1}, r_n]
     else:
-        a = math.prod(shape[:n - 1])
-        b = math.prod(shape[n:])
-        if b > a:
-            t = x.reshape(a * i_n, b, order="F") @ suffix.transpose(1, 2, 0).reshape(b, -1)
-            t = t.reshape(i_n, a, -1, suffix.shape[0])  # [i_n, j_A, r_1, r_{n+1}]
-            t = np.tensordot(t, prefix, axes=([1, 2], [1, 0]))
-        else:
-            t = x.reshape(a, i_n * b, order="F").T @ prefix.transpose(1, 2, 0).reshape(a, -1)
-            t = t.reshape(b, i_n, prefix.shape[2], -1)  # [j_B, i_n, r_n, r_1]
-            t = np.tensordot(t, suffix, axes=([0, 3], [1, 2])).transpose(0, 2, 1)
-    # t[i_n, r_{n+1}, r_n]: columns of Delta_2 run over (r_n, r_{n+1}), r_n fastest
-    return t.reshape(i_n, -1)
+        t = np.tensordot(prefix, suffix, axes=([0, 2], [1, 2])).transpose(0, 2, 1)
+    # columns of Delta_2 run over (r_n, r_{n+1}), r_n fastest
+    return t.reshape(len(t), -1)
 
 
 def _core_update(x, cores, n, lam, mu, aux, duals, k, sides):
-    # cores and x, checked unless a sweep's sides come with them; aux must
-    # have shape (3,) + core n's and duals (k,) + core n's, so none broadcasts
+    # cores and x, checked unless a sweep's sides, which hold x, come with
+    # them; aux must have shape (3,) + core n's and duals (k,) + core n's,
+    # so none broadcasts
     cs, x = _checked(cores, x) if sides is None else (_core_list(cores), x)
     _check_mode(len(cs), n)
     shape = cs[n - 1].shape
     if np.shape(aux) != (3,) + shape or np.shape(duals) != (k,) + shape:
         raise ValueError(f"core {n} takes aux of shape {(3,) + shape}, {k} multipliers of shape {shape}")
     if sides is None:
-        chains, gram = prefix_suffix(cs, n), subchain_gram(cs, n)
+        chains, gram = data_sides(x, cs, n), subchain_gram(cs, n)
     else:
         chains, gram = sides[0], transfer_gram(*sides[1])
-    b = lam * data_term(x, cs, n, *chains) + gamma_unfold(mu * sum(aux) + sum(duals), 2)
+    b = lam * data_term(*chains) + gamma_unfold(mu * sum(aux) + sum(duals), 2)
     a = lam * gram + k * mu * np.eye(shape[0] * shape[2])
     return gamma_fold(ridge_solve(b, a), 2, shape)
 
@@ -139,8 +118,9 @@ def core_update_olrf(x, cores, aux, duals, n, lam, mu, sides=None):
 
     aux and duals are the three auxiliary tensors M_ni and multipliers Y_ni,
     each shaped like core n. sides, when given, is the n-th sides of a
-    ring.sweep over the cores and of one over their transfer matrices, the
-    pairs prefix_suffix(cores, n) and subchain_gram(cores, n) build.
+    ring.data_sweep over x and the cores and of a ring.sweep over their
+    transfer matrices, the pairs data_sides(x, cores, n) and
+    subchain_gram(cores, n) build; x is then read only through them.
     """
     return _core_update(x, cores, n, lam, mu, aux, duals, 3, sides)
 

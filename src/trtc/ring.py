@@ -4,8 +4,11 @@ A TR representation of an order-N tensor is a cyclic chain of order-3 cores
 G_n of shape (R_n, I_n, R_{n+1}) with R_{N+1} = R_1. Entry (i_1,...,i_N) is
 Trace(G_1(i_1) @ ... @ G_N(i_N)) where G_n(i) = cores[n][:, i, :].
 
-The chains and transfer products beside each core are the sides of a sweep
-over the cores; sweep states which cores each side covers.
+A Gauss-Seidel sweep over the cores reads, for each core, the sides beside
+it: data_sweep splits the ring at the mode split_mode picks, contracts x
+once per half and carries the partial contractions and chains of the data
+terms through the sweep; sweep carries the transfer products of the Grams.
+Each states which cores its sides cover.
 """
 
 import functools
@@ -130,50 +133,118 @@ def identity_chain(r):
     return np.eye(r).reshape(r, 1, r)
 
 
-def sweep(items, combine, empty, skip):
+def _suffixes(items, combine, empty, first):
+    # entry k combines the last k items right to left, for k = 0..N-first:
+    # entry 0 is empty, and entry 1 the last item itself rather than its
+    # product with empty, which is exact in value but can change the layout
+    # later products read
+    out = [empty]
+    for item in reversed(items[first:]):
+        out.append(item if len(out) == 1 else combine(item, out[-1]))
+    return out
+
+
+def sweep(items, combine, empty):
     """Sides (prefix, suffix) of items n = 1..N, as a Gauss-Seidel sweep reads them.
 
     The prefix is items 1..n-1 combined left to right, the suffix items
     n+1..N combined right to left. A side with no items is empty, the
     identity; its first item replaces empty rather than being combined with
-    it, a product that is exact in value but can change the layout later
-    products read. Every suffix is built before the first yield; after each
-    yield the prefix is extended with items[n-1] as the caller then holds
-    it, so a sweep that replaces item n after its update yields the sides of
-    the items as they now are. skip = 1 keeps each end's neighbour item out
-    of its side, as the chains of a data term need: the suffix of n = 1
-    starts at item 3 and the prefix stops at item N-2, so no side covers
-    more than N-2 items. skip = 0 gives the full sides, as for a Gram.
+    it. Every suffix is built before the first yield; after each yield the
+    prefix is extended with items[n-1] as the caller then holds it, so a
+    sweep that replaces item n after its update yields the sides of the
+    items as they now are.
     """
     n_items = len(items)
-    suffixes = [empty]  # suffixes[k]: the last k items
-    for k, item in enumerate(reversed(items[1 + skip:])):
-        suffixes.append(item if k == 0 else combine(item, suffixes[-1]))
+    suffixes = _suffixes(items, combine, empty, 1)
     prefix = empty
     for n in range(1, n_items + 1):
-        yield prefix, suffixes[n_items - max(n, 1 + skip)]
-        if n < n_items - skip:
+        yield prefix, suffixes[n_items - n]
+        if n < n_items:
             prefix = items[0] if n == 1 else combine(prefix, items[n - 1])
 
 
-def _side(items, combine, empty, skip, n):
-    # the n-th sides of a sweep over items
-    if not 1 <= n <= len(items):
-        raise ValueError(f"mode {n} out of range for order {len(items)}")
-    return next(itertools.islice(sweep(items, combine, empty, skip), n - 1, None))
+def split_mode(shape):
+    """The mode m, 1 <= m < N, where a ring of these extents is split in two.
+
+    The halves are modes 1..m and m+1..N; m minimises the larger of their
+    entry counts, max(I_1...I_m, I_{m+1}...I_N), the first such m on a tie.
+    """
+    return min(range(1, len(shape)), key=lambda m: max(math.prod(shape[:m]), math.prod(shape[m:])))
+
+
+def data_sweep(x, cores, merge=_merge, suffixes=None):
+    """Sides (prefix, suffix) of the data terms of cores n = 1..N, as a Gauss-Seidel sweep reads them.
+
+    The ring is split at m = split_mode(x.shape), and x, read first index
+    fastest as a (I_1...I_m, I_{m+1}...I_N) matrix, is contracted in one
+    gemm per half; every other step touches only chains and partial
+    contractions of a half's size:
+      n <= m: prefix is the chain of cores 1..n-1, (R_1, A, R_n), and
+          suffix U_n, x against the cores n+1..N, (I_n, A, R_1, R_{n+1});
+          U_m is x against the chain of cores m+1..N, and U_{n-1} is U_n
+          against core n, all made before the first yield;
+      n > m: prefix is V_n, x against the cores 1..n-1, (B, I_n, R_1, R_n),
+          and suffix the chain of cores n+1..N, (R_{n+1}, B, R_1); V_{m+1}
+          is x against the chain of cores 1..m, and V_{n+1} is V_n against
+          core n.
+    A chain with no cores is identity_chain(R_1); merge combines two chains.
+    suffixes are the chains of the last k cores, k = 0..N-m, right to left;
+    by default they are built from the cores. After each yield the sides
+    are extended with cores[n-1] as the caller then holds it, so a sweep
+    that replaces core n after its update yields the sides of the cores as
+    they now are. Resumed once more after core N, the sweep yields the two
+    halves of the ring as the caller now holds it: the chain of cores 1..m
+    and the suffixes of the next sweep, whose last entry is the chain of
+    cores m+1..N.
+    """
+    x = np.asarray(x)
+    shape = x.shape
+    order = len(cores)
+    m = split_mode(shape)
+    r = cores[0].shape[0]
+    if suffixes is None:
+        suffixes = _suffixes(cores, merge, identity_chain(r), m)
+    x_half = x.reshape(math.prod(shape[:m]), -1, order="F")
+    # U_m, then U_{m-1}..U_1 from the cores as they are before the first yield
+    u = x_half @ suffixes[-1].transpose(1, 2, 0).reshape(x_half.shape[1], -1)
+    partials = [u.reshape(shape[m - 1], -1, r, suffixes[-1].shape[0])]
+    for n in range(m, 1, -1):
+        u = np.tensordot(partials[-1], cores[n - 1], axes=([0, 3], [1, 2]))  # [j, r_1, r_n]
+        partials.append(u.reshape(shape[n - 2], -1, *u.shape[1:]))
+    prefix = identity_chain(r)
+    for n in range(1, m + 1):
+        yield prefix, partials.pop()
+        prefix = cores[0] if n == 1 else merge(prefix, cores[n - 1])
+    v = x_half.T @ prefix.transpose(1, 0, 2).reshape(x_half.shape[0], -1)
+    v = v.reshape(-1, shape[m], r, prefix.shape[2])
+    for n in range(m + 1, order + 1):
+        yield v, suffixes[order - n]
+        if n < order:
+            v = np.tensordot(v, cores[n - 1], axes=([1, 3], [1, 0]))  # [k, r_1, r_{n+1}]
+            v = v.reshape(-1, shape[n], *v.shape[1:])
+    yield prefix, _suffixes(cores, merge, identity_chain(r), m)
+
+
+def _nth(sides, n, order):
+    # the n-th sides of a sweep over a ring of the given order
+    if not 1 <= n <= order:
+        raise ValueError(f"mode {n} out of range for order {order}")
+    return next(itertools.islice(sides, n - 1, None))
 
 
 def reconstruct(cores):
     """Dense tensor represented by the cores.
 
-    The chain prefix of core N, cores 1..N-2 merged left to right (the
-    identity at order 2), is trace-contracted against the merged last pair
-    G_{N-1} G_N, the contraction a solver sweep makes with the prefix it
-    already holds. No chain of more than N-2 cores is formed.
+    The ring is split at m = split_mode of its extents: the chain of cores
+    1..m, merged left to right, is trace-contracted against the chain of
+    cores m+1..N, merged right to left, the two halves a solver sweep ends
+    with. No chain of more than one half is formed.
     """
     cs = TRCores(cores).cores
-    prefix = functools.reduce(_merge, cs[1:-2], cs[0]) if len(cs) > 2 else identity_chain(cs[0].shape[0])
-    z = _trace_contract(prefix, _merge(cs[-2], cs[-1]))
+    m = split_mode(tuple(c.shape[1] for c in cs))
+    prefix = functools.reduce(_merge, cs[1:m], cs[0])
+    z = _trace_contract(prefix, _suffixes(cs, _merge, identity_chain(cs[0].shape[0]), m)[-1])
     return z.reshape(tuple(c.shape[1] for c in cs), order="F")
 
 
@@ -196,15 +267,11 @@ def subchain(cores, n):
     return acc
 
 
-def prefix_suffix(cores, n):
-    """The two chains a data term for core n is contracted against.
-
-    The n-th sides of a sweep over the cores with skip = 1: for 1 < n < N
-    the prefix of cores 1..n-1, (R_1, A, R_n), and the suffix of cores
-    n+1..N, (R_{n+1}, B, R_1).
-    """
+def data_sides(x, cores, n):
+    """The n-th sides of a data_sweep over x and the cores: what the data
+    term of core n reads."""
     cs = _core_list(cores)
-    return _side(cs, _merge, identity_chain(cs[0].shape[0]), 1, n)
+    return _nth(data_sweep(x, cs), n, len(cs))
 
 
 def transfer(core):
@@ -237,12 +304,11 @@ def subchain_gram(cores, n):
 
     Computed through the per-core transfer matrices without materializing
     the subchain, so the cost is polynomial in the ranks: transfer_gram of
-    the n-th sides of a sweep over the transfers with skip = 0, the products
-    a solver sweep holds, so a core update given them gets the same Gram bit
-    for bit.
+    the n-th sides of a sweep over the transfers, the products a solver
+    sweep holds, so a core update given them gets the same Gram bit for bit.
     """
     cs = _core_list(cores)
-    return transfer_gram(*_side([transfer(c) for c in cs], np.matmul, np.eye(cs[0].shape[0] ** 2), 0, n))
+    return transfer_gram(*_nth(sweep([transfer(c) for c in cs], np.matmul, np.eye(cs[0].shape[0] ** 2)), n, len(cs)))
 
 
 def _checked(cores, x):

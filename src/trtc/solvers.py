@@ -10,8 +10,10 @@ constraint that ties them to the core:
       multiplier Y_n; each latent tensor W_ni is low-rank in one unfolding.
 
 A model gives k, residual(g, aux) (the k constraint residuals as a stack:
-aux - g, or (sum_i aux_i - g)[None]), svt_target(g, aux, y, mu, i) (the
-tensor whose i-th unfolding is thresholded into aux[i]) and a one-line
+aux - g, or (sum_i aux_i - g)[None]), svt_target(shift, aux, i) (the
+tensor whose i-th unfolding is thresholded into aux[i], from the (k, ...)
+stack shift = g - y / mu, formed once per core shape: shift[i], or
+shift[0] minus the other two latent tensors) and a one-line
 core_update that calls its kernel in trtc.prox, where one formula serves
 both models. The loop owns every step: the multipliers are a (k, ...) stack
 for both models, and one ascent y += mu * residual serves both. Adding a
@@ -33,17 +35,24 @@ map. The SVT targets are taken in order i = 1, 2, 3, each after aux[i - 1]
 is written, so LLRF stays Gauss-Seidel over the three latent tensors of a
 core; OLRF's targets do not read aux.
 
-The core sweep reads the sides of each core from two ring.sweep generators,
-one over the cores (chains) and one over their transfer matrices, which are
-computed once per core update and carried into the next sweep; the
-reconstruction contracts the last chain prefix, as ring.reconstruct does.
-x stays first-index-fastest (Fortran order), so the data term reads it
-without a copy.
+The core sweep reads the sides of each core from two generators: a
+ring.data_sweep over x and the cores, which splits the ring in two halves
+at the mode ring.split_mode(x.shape) picks and reads x in two gemms, one
+per half, and a ring.sweep over the cores' transfer matrices, which are
+computed once per core update and carried into the next sweep. Resumed
+after the last core, the data sweep gives the two halves of the new ring:
+the chain of the first half's cores and the suffix chains of the second
+half. The reconstruction contracts the two, as ring.reconstruct does, and
+the next sweep starts from those suffix chains, so each chain is built once
+per iteration. x stays first-index-fastest (Fortran order), so the sweep
+reads it without a copy.
 
 The refill writes the reconstruction into the missing entries of x in
 place, through x's flat first-index-fastest view and the positions of the
 missing entries, computed once per solve. The observed entries of x never
-change, so the relative change is taken over the missing entries alone.
+change, so the relative change is taken over the missing entries alone,
+against the values the last refill wrote (zero before the first), which the
+loop keeps instead of reading them back from x.
 """
 
 import numbers
@@ -54,7 +63,7 @@ from typing import Optional
 import numpy as np
 
 from .tensors import gamma_unfold, gamma_fold
-from .ring import TRCores, TRRank, _merge, _trace_contract, identity_chain, sweep, transfer
+from .ring import TRCores, TRRank, _merge, _trace_contract, data_sweep, sweep, transfer
 from .prox import svt, core_update_olrf, core_update_llrf
 
 # penalty schedule, the same for every solve: mu starts at _MU0 and grows
@@ -197,8 +206,8 @@ class _Overlapped:
         return aux - g
 
     @staticmethod
-    def svt_target(g, aux, y, mu, i):
-        return g - y[i] / mu
+    def svt_target(shift, aux, i):
+        return shift[i]
 
 
 class _Latent:
@@ -213,10 +222,10 @@ class _Latent:
         return (sum(aux) - g)[None]
 
     @staticmethod
-    def svt_target(g, aux, y, mu, i):
+    def svt_target(shift, aux, i):
         # Gauss-Seidel over the three latent tensors: the other two are the
         # freshest the loop has written
-        return g - y[0] / mu - sum(aux[j] for j in range(3) if j != i)
+        return shift[0] - sum(aux[j] for j in range(3) if j != i)
 
 
 MODELS = {"olrf": _Overlapped, "llrf": _Latent}
@@ -259,8 +268,12 @@ def _solve(name, observed, mask, cfg, truth=None):
     obs_norm = np.linalg.norm(x)
     x_flat = x.reshape(-1, order="F")
     missing = np.flatnonzero(~mask.ravel(order="F"))
+    # x's missing entries, which the refill alone writes: zero at the start
+    x_missing = np.zeros(len(missing))
+    order = len(cores)
     trans = [transfer(g) for g in cores]
     r = cores[0].shape[0]
+    suffixes = None  # the first chain sweep builds them from the initial cores
     # core n's state is slice j of its group's stacks
     slots = {n: (grp, j) for grp in state.groups for j, n in enumerate(grp.members)}
 
@@ -272,38 +285,45 @@ def _solve(name, observed, mask, cfg, truth=None):
         t_iter = time.perf_counter()
         mu_hist.append(mu)
         try:
-            # drop the last iteration's reconstruction and sides before the
-            # sweep builds its suffixes
-            z = sides = None
-            chains = sweep(cores, _merge, identity_chain(r), 1)
-            for n, sides in enumerate(zip(chains, sweep(trans, np.matmul, np.eye(r * r), 0)), start=1):
+            # drop the last iteration's reconstruction before the sweep
+            z = None
+            chains = data_sweep(x, cores, _merge, suffixes)
+            products = sweep(trans, np.matmul, np.eye(r * r))
+            for n in range(1, order + 1):
                 grp, j = slots[n - 1]
                 g = model.core_update(
-                    x, cores, grp.aux[:, j], grp.multipliers[:, j], n, cfg.lam, mu, sides,
+                    x, cores, grp.aux[:, j], grp.multipliers[:, j], n, cfg.lam, mu,
+                    (next(chains), next(products)),
                 )
                 cores[n - 1] = g
                 trans[n - 1] = transfer(g)
+            # resumed after core N, the chain sweep gives the two halves of
+            # the new ring; its suffixes start the next sweep. Both sweeps
+            # are dropped, with the partial products they hold, before the
+            # refill
+            prefix, suffixes = next(chains)
+            chains = products = None
 
             # the prox half runs once per core shape, on the stacked cores
             stacks = [np.stack([cores[n] for n in grp.members]) for grp in state.groups]
             beta = 1.0 / mu
             for grp, g in zip(state.groups, stacks):
+                shift = g - grp.multipliers / mu
                 for i in range(3):
-                    target = model.svt_target(g, grp.aux, grp.multipliers, mu, i)
+                    target = model.svt_target(shift, grp.aux, i)
                     hit = svt(gamma_unfold(target, i + 1, stacked=True), beta).matrix
                     grp.aux[i] = gamma_fold(hit, i + 1, g.shape[1:])
 
-            # the last chain prefix (cores 1..N-2) against the last pair, as
-            # ring.reconstruct, so final_x off the mask is
-            # reconstruct(final_cores) bit for bit
-            z = _trace_contract(sides[0][0], _merge(cores[-2], cores[-1]))
+            # the halves contracted as in ring.reconstruct, so final_x off
+            # the mask is reconstruct(final_cores) bit for bit
+            z = _trace_contract(prefix, suffixes[-1])
         except np.linalg.LinAlgError as e:
             raise DivergenceError(f"{name} iterate became non-finite at iteration {it}: {e}") from e
 
         # z is first-index-fastest, as x; the observed entries of x stay put
         z_missing = z.reshape(-1, order="F")[missing]
-        rel = float(np.linalg.norm(z_missing - x_flat[missing]) / obs_norm)
-        x_flat[missing] = z_missing
+        rel = float(np.linalg.norm(z_missing - x_missing) / obs_norm)
+        x_flat[missing] = x_missing = z_missing
 
         cons = 0.0
         for grp, g in zip(state.groups, stacks):

@@ -10,8 +10,8 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 from trtc import read_tensor, write_tensor, TensorFileError  # noqa: E402
 from trtc.tensors import gamma_unfold, gamma_fold, delta_unfold  # noqa: E402
 from trtc.ring import (  # noqa: E402
-    _merge, _trace_contract, element, identity_chain, prefix_suffix, reconstruct, subchain,
-    subchain_gram, sweep, transfer, transfer_gram,
+    _merge, _trace_contract, data_sides, data_sweep, element, identity_chain, reconstruct,
+    split_mode, subchain, subchain_gram, sweep, transfer, transfer_gram,
 )
 from trtc.prox import core_update_llrf, core_update_olrf, data_term, svt  # noqa: E402
 
@@ -163,33 +163,40 @@ def test_merge_with_identity_chain_returns_the_core(cores):
         assert same_bits(_merge(c, identity_chain(c.shape[2])), c + 0.0)
 
 
-# (2, 2, 3, 2) makes every branch certain: mode 2 has A = 2 < B = 6, mode 3
-# has A = 4 >= B = 2, mode 1 reads the suffix of cores 3..4 and core 2, mode
-# N the prefix of cores 1..2 and core 3; order 3 has one-core chains at the
-# ends, order 2 identity chains on both sides
+# (2, 2, 3, 2) splits at m = 2, so both halves have a core with chains on
+# both sides; (3, 2, 4) splits at m = N - 1 and (4, 2, 2) at m = 1, so one
+# half is a single core; order 2 has identity chains at both ends
 @example(((2, 2, 3, 2), (2, 3, 1, 2), 0))
 @example(((3, 2, 4), (2, 1, 3), 1))
+@example(((4, 2, 2), (3, 2, 1), 3))
 @example(((3, 2), (2, 3), 2))
 @given(ring_problems())
 def test_data_term_matches_dense_reference(problem):
     cores, x = ring_instance(problem)
     extents = problem[0]
     order = len(cores)
+    m = split_mode(extents)
+    r = cores[0].shape[0]
+    empty = identity_chain(r)
     for n in range(1, order + 1):
         want = delta_unfold(x, n) @ delta_unfold(subchain(cores, n), 2)
-        prefix, suffix = prefix_suffix(cores, n)
-        # the split: neither chain reaches the neighbour core of an end,
-        # and a side with no cores on it is the identity chain
-        lo, hi = min(n - 1, order - 2), max(n, 2)
-        assert prefix.shape[1] == int(np.prod(extents[:lo]))
-        assert suffix.shape[1] == int(np.prod(extents[hi:]))
-        empty = identity_chain(cores[0].shape[0])
-        if lo == 0:
-            assert same_bits(prefix, empty)
-        if hi == order:
-            assert same_bits(suffix, empty)
+        a, b = int(np.prod(extents[:n - 1])), int(np.prod(extents[n:]))
         for xl in layouts(x):
-            got = data_term(xl, cores, n, prefix, suffix)
+            prefix, suffix = data_sides(xl, cores, n)
+            # the split: within core n's half, x is contracted into the side
+            # away from the split, and the other side is a chain of cores
+            # on n's side of it; a side with no cores is the identity chain
+            if n <= m:
+                assert prefix.shape == (r, a, cores[n - 1].shape[0])
+                assert suffix.shape == (extents[n - 1], a, r, cores[n - 1].shape[2])
+                if n == 1:
+                    assert same_bits(prefix, empty)
+            else:
+                assert prefix.shape == (b, extents[n - 1], r, cores[n - 1].shape[0])
+                assert suffix.shape == (cores[n - 1].shape[2], b, r)
+                if n == order:
+                    assert same_bits(suffix, empty)
+            got = data_term(prefix, suffix)
             assert got.shape == want.shape
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -224,29 +231,36 @@ def test_subchain_gram_matches_dense_reference(problem):
 @given(ring_problems())
 def test_core_updates_without_chains_equal_the_solver_chains(problem):
     # a sweep that replaces each core after its update yields, for core n,
-    # the sides prefix_suffix and subchain_gram build afresh from the cores
-    # as they now are; a core update with those sides equals one without
+    # the sides data_sides and subchain_gram build afresh from x and the
+    # cores as they now are; a core update with those sides equals one
+    # without. Resumed after the last core, it yields the halves that
+    # reconstruct contracts and the suffixes a fresh sweep would build
     cores, x = ring_instance(problem)
     rng = np.random.default_rng(problem[2] + 1)
     r = cores[0].shape[0]
     trans = [transfer(c) for c in cores]
-    sides = zip(sweep(cores, _merge, identity_chain(r), 1), sweep(trans, np.matmul, np.eye(r * r), 0))
-    for n, (chains, products) in enumerate(sides, start=1):
-        assert all(same_bits(a, b) for a, b in zip(chains, prefix_suffix(cores, n)))
-        assert same_bits(transfer_gram(*products), subchain_gram(cores, n))
+    chains = data_sweep(x, cores)
+    products = sweep(trans, np.matmul, np.eye(r * r))
+    for n in range(1, len(cores) + 1):
+        sides = next(chains), next(products)
+        assert all(same_bits(a, b) for a, b in zip(sides[0], data_sides(x, cores, n)))
+        assert same_bits(transfer_gram(*sides[1]), subchain_gram(cores, n))
         core = cores[n - 1]
         aux = [rng.standard_normal(core.shape) for _ in range(3)]
         duals = [rng.standard_normal(core.shape) for _ in range(3)]
         np.testing.assert_array_equal(
             core_update_llrf(x, cores, aux, duals[0], n, 10.0, 2.0),
-            core_update_llrf(x, cores, aux, duals[0], n, 10.0, 2.0, sides=(chains, products)),
+            core_update_llrf(x, cores, aux, duals[0], n, 10.0, 2.0, sides=sides),
         )
         new = core_update_olrf(x, cores, aux, duals, n, 10.0, 2.0)
-        np.testing.assert_array_equal(
-            new, core_update_olrf(x, cores, aux, duals, n, 10.0, 2.0, sides=(chains, products)),
-        )
+        np.testing.assert_array_equal(new, core_update_olrf(x, cores, aux, duals, n, 10.0, 2.0, sides=sides))
         cores[n - 1] = new
         trans[n - 1] = transfer(new)
+    prefix, suffixes = next(chains)
+    z = _trace_contract(prefix, suffixes[-1]).reshape(problem[0], order="F")
+    assert same_bits(z, reconstruct(cores))
+    fresh = next(data_sweep(x, cores, suffixes=suffixes))
+    assert all(same_bits(a, b) for a, b in zip(fresh, data_sides(x, cores, 1)))
 
 
 @st.composite

@@ -10,7 +10,7 @@ from trtc import (
     rank_inequality_check,
     frobenius_norm,
 )
-from trtc.ring import TRRank, element, subchain, subchain_gram, numerical_rank
+from trtc.ring import TRRank, element, split_mode, subchain, subchain_gram, numerical_rank
 from trtc.tensors import gamma_unfold, delta_unfold
 
 
@@ -206,6 +206,21 @@ def test_subchain_gram_matches_direct():
     for n in range(1, 5):
         d2 = delta_unfold(subchain(cores, n), 2)
         np.testing.assert_allclose(subchain_gram(cores, n), d2.T @ d2, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("shape,m", [
+    pytest.param((40, 40, 16), 1, id="reshape3"),
+    pytest.param((5, 8, 5, 8, 4, 2, 2), 3, id="reshape7"),
+    pytest.param((6,) * 8, 4, id="6^8"),
+    pytest.param((10, 10, 10, 10), 2, id="10^4"),
+    pytest.param((5, 6), 1, id="order2"),
+    pytest.param((50, 2, 2, 2), 1, id="first-end"),
+    pytest.param((2, 2, 2, 50), 3, id="last-end"),
+    pytest.param((2, 2, 2), 1, id="tie"),
+])
+def test_split_mode_minimises_the_larger_half(shape, m):
+    # halves 1..m and m+1..N; the first m on a tie
+    assert split_mode(shape) == m
 
 
 def test_numerical_rank_thresholding():

@@ -18,6 +18,7 @@ from trtc import (
     solve_llrf,
     rse,
 )
+from trtc.ring import split_mode
 from trtc.solvers import init_state
 from trtc.cli import synth_instance
 
@@ -305,18 +306,17 @@ def test_order_six_instance_latent_tracks_overlapped():
 
 @pytest.mark.parametrize("name,solver", SOLVERS)
 def test_sweep_merges_only_prefix_and_suffix_chains(monkeypatch, name, solver):
-    # per iteration the suffix chains of cores 3..N take N-3 merges, the
-    # prefix of cores 1..N-2 takes N-3 and the reconstruction merges the
-    # last pair, 2N-5 in all; no chain covers more than N-2 cores, so a
-    # chain of N-1 cores (a subchain, or the full prefix or suffix of an
-    # end) is too long, and an unfolding of x or of a chain would call
+    # the ring is split at m = split_mode(shape): the first sweep builds the
+    # suffix chains of cores m+1..N (N-m-1 merges), and per iteration the
+    # prefix of cores 1..m takes m-1 merges and the new suffix chains N-m-1,
+    # N-2 in all. No chain leaves its half, so none is longer than the
+    # larger half, and an unfolding of x or of a chain would call
     # delta_unfold
     shape = (3, 2, 3, 2, 3, 2)
-    order = len(shape)
+    order, iters = len(shape), 2
+    m = split_mode(shape)
     truth, mask = synth_instance(shape, (2,) * order, 0.5, 0, std=0.5)
-    longest = max(
-        int(np.prod([shape[(s + k) % order] for k in range(order - 2)])) for s in range(order)
-    )
+    longest = max(int(np.prod(shape[:m])), int(np.prod(shape[m:])))
     merges, unfolds = [], []
 
     def counted(calls, fn):
@@ -332,10 +332,10 @@ def test_sweep_merges_only_prefix_and_suffix_chains(monkeypatch, name, solver):
         if hasattr(module, "delta_unfold"):
             monkeypatch.setattr(module, "delta_unfold", counted(unfolds, module.delta_unfold))
     rep = solver(np.where(mask, truth, np.nan), mask,
-                 SolverConfig(tr_rank=(2,) * order, tol=1e-300, max_iters=2, seed=0))
-    assert rep.iterations == 2
-    assert len(merges) == 2 * (2 * order - 5)
-    assert max(m.shape[1] for m in merges) <= longest
+                 SolverConfig(tr_rank=(2,) * order, tol=1e-300, max_iters=iters, seed=0))
+    assert rep.iterations == iters
+    assert len(merges) == (order - m - 1) + iters * (order - 2)
+    assert max(c.shape[1] for c in merges) <= longest
     assert unfolds == []
 
 
@@ -353,8 +353,9 @@ def test_loop_merges_and_contractions_go_through_the_solver_module(monkeypatch, 
     # the benchmark's per-layer metrics count the calls through the
     # trtc.solvers attributes its tracer wraps: every one the loop makes
     # must pass there. Per iteration, one core update per core, three SVTs,
-    # unfolds and folds per core shape, 2N-5 merges and one trace
-    # contraction; one input check per solve
+    # unfolds and folds per core shape, N-2 merges and one trace
+    # contraction; per solve, one input check and the N-m-1 merges of the
+    # first suffix chains
     shape = (3, 2, 3, 2, 3, 2)
     order, iters, shapes = len(shape), 2, 2
     truth, mask = synth_instance(shape, (2,) * order, 0.5, 0, std=0.5)
@@ -364,7 +365,7 @@ def test_loop_merges_and_contractions_go_through_the_solver_module(monkeypatch, 
         "svt": iters * 3 * shapes,
         "gamma_unfold": iters * 3 * shapes,
         "gamma_fold": iters * 3 * shapes,
-        "_merge": iters * (2 * order - 5),
+        "_merge": (order - split_mode(shape) - 1) + iters * (order - 2),
         "_trace_contract": iters,
         "_validate": 1,
     }
