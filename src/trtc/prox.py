@@ -1,7 +1,15 @@
 """Per-iteration kernels: singular value thresholding and the core update.
 
 Both ADMM solvers alternate between SVT steps on core unfoldings and a
-regularized least-squares update of each core. The two models differ only in
+regularized least-squares update of each core.
+
+The unfoldings are small and wide or tall (6 x 60, 40 x 9), and the prox
+needs only the singular values and one side's singular vectors (Cai,
+Candes & Shen, SIAM J. Optim. 2010), so svt reads them from the
+eigendecomposition of the shorter side's Gram rather than an SVD, to about
+1e-12 of s_max; a matrix where squaring would cost more takes the SVD.
+
+The two models differ only in
 the k constraints that tie core n to its three auxiliary tensors aux_i, each
 with its multiplier: k = 3 (M_ni = G_n) for the overlapped model, k = 1
 (sum_i W_ni = G_n) for the latent one. One formula updates the core for both:
@@ -20,8 +28,9 @@ but core n and those of the other side, a chain, so the data term is one
 small contraction of the two sides. The Gram Q Q^T is read from the transfer
 products beside core n (ring.subchain_gram), so neither the subchain nor an
 unfolding of X is formed. A solver that sweeps the cores passes the sides it
-already holds; without them they are built from X and the cores the same
-way, so both calls give the same core bit for bit.
+already holds and the penalty term Gamma_2(mu * sum_i aux_i + sum_j Y_j);
+without them they are built from X, the cores, aux and the multipliers the
+same way, so both calls give the same core bit for bit.
 """
 
 from dataclasses import dataclass
@@ -32,6 +41,12 @@ import numpy as np
 # the benchmark's tracer (perfbench/tracing.py) wraps trtc.prox.delta_unfold
 from .tensors import _check_mode, delta_unfold, gamma_fold, gamma_unfold  # noqa: F401
 from .ring import _checked, _core_list, data_sides, subchain_gram, transfer_gram
+
+
+# the largest ratio lam / beta^2 that svt thresholds through the Gram:
+# (s_max / beta)^2 at s_max / beta = 1e4, about 1e-12 relative accuracy
+_SQUARED_MAX = 1e8
+_TINY = np.finfo(float).tiny
 
 
 @dataclass
@@ -46,18 +61,44 @@ def svt(a, beta):
     a is one matrix or a stack of them (..., m, n), each thresholded alone.
     Returns U max(S - beta, 0) V^T together with the number of singular
     values above the threshold, counted over the whole stack.
+
+    The product depends only on the singular values and the singular
+    vectors of the shorter side, so it is read from the eigendecomposition
+    V diag(lam) V^T of that side's Gram, a a^T (m <= n) or a^T a: with
+    f = 1 - beta / sqrt(lam) where lam > beta^2 and 0 elsewhere, it is
+    (V f V^T) a, or a (V f V^T) for a tall matrix. Squaring costs about
+    eps * s_max / beta of accuracy relative to s_max, so a matrix with an
+    eigenvalue above _SQUARED_MAX * beta^2 (s_max / beta > 1e4), or one not
+    finite, is thresholded through its SVD instead, as is every matrix when
+    beta^2 underflows: beta = 0 gives the SVD product, the identity to
+    rounding, and NaN input raises LinAlgError. Each matrix takes its route
+    alone, so stacking changes no bit of its result.
     """
     # written so that NaN fails the check
     if not beta >= 0:
         raise ValueError("beta must be nonnegative")
-    u, s, vt = np.linalg.svd(np.asarray(a, dtype=float), full_matrices=False)
-    shrunk = np.maximum(s - beta, 0.0)
-    # the product runs over every singular value, the thresholded ones as
-    # zero terms, so the matrices of a stack need no truncation each. It
-    # equals the product over the kept values alone bit for bit while BLAS
-    # sums it in order (OpenBLAS: up to 15 terms), and to rounding beyond
-    m = (u * shrunk[..., None, :]) @ vt
-    return SVTResult(matrix=m, effective_rank=int(np.count_nonzero(shrunk)))
+    a = np.asarray(a, dtype=float)
+    b2 = beta * beta
+    at = np.swapaxes(a, -1, -2)
+    wide = a.shape[-2] <= a.shape[-1]
+    lam, v = np.linalg.eigh(a @ at if wide else at @ a)
+    # sqrt(beta * beta) is beta, so f is 0 exactly where lam <= beta^2
+    f = 1.0 - beta / np.sqrt(np.maximum(lam, max(b2, _TINY)))
+    p = (v * f[..., None, :]) @ np.swapaxes(v, -1, -2)
+    m = p @ a if wide else a @ p
+    kept = lam > b2
+    rank = np.count_nonzero(kept)
+    # where beta^2 underflows (beta = 0 among them) every matrix takes the
+    # SVD, so the floor above only keeps 0 / 0 out; written so that NaN
+    # takes it too
+    bound = _SQUARED_MAX * b2 if b2 >= _TINY else -np.inf
+    if not lam.max() <= bound:
+        squared = ~(lam <= bound).all(axis=-1)
+        u, s, vt = np.linalg.svd(a[squared], full_matrices=False)
+        shrunk = np.maximum(s - beta, 0.0)
+        m[squared] = (u * shrunk[..., None, :]) @ vt
+        rank += np.count_nonzero(shrunk) - np.count_nonzero(kept[squared])
+    return SVTResult(matrix=m, effective_rank=int(rank))
 
 
 def ridge_solve(b, a):
@@ -106,10 +147,13 @@ def _core_update(x, cores, n, lam, mu, aux, duals, k, sides):
         raise ValueError(f"core {n} takes aux of shape {(3,) + shape}, {k} multipliers of shape {shape}")
     if sides is None:
         chains, gram = data_sides(x, cs, n), subchain_gram(cs, n)
+        penalty = gamma_unfold(mu * np.sum(aux, 0) + np.sum(duals, 0), 2)
     else:
-        chains, gram = sides[0], transfer_gram(*sides[1])
-    b = lam * data_term(*chains) + gamma_unfold(mu * sum(aux) + sum(duals), 2)
-    a = lam * gram + k * mu * np.eye(shape[0] * shape[2])
+        chains, products, penalty = sides
+        gram = transfer_gram(*products)
+    b = lam * data_term(*chains) + penalty
+    a = lam * gram
+    a.flat[::len(a) + 1] += k * mu
     return gamma_fold(ridge_solve(b, a), 2, shape)
 
 
@@ -120,7 +164,9 @@ def core_update_olrf(x, cores, aux, duals, n, lam, mu, sides=None):
     each shaped like core n. sides, when given, is the n-th sides of a
     ring.data_sweep over x and the cores and of a ring.sweep over their
     transfer matrices, the pairs data_sides(x, cores, n) and
-    subchain_gram(cores, n) build; x is then read only through them.
+    subchain_gram(cores, n) build, and the penalty term
+    gamma_unfold(mu * sum_i aux_i + sum_j Y_j, 2); x, aux and duals are
+    then read only through them, and aux and duals only for their shapes.
     """
     return _core_update(x, cores, n, lam, mu, aux, duals, 3, sides)
 
@@ -130,6 +176,6 @@ def core_update_llrf(x, cores, latent, dual, n, lam, mu, sides=None):
 
     latent holds the three latent tensors W_ni; dual is the single
     multiplier Y_n for the constraint sum_i W_ni = G_n. sides is the
-    sweep's pairs, as for core_update_olrf.
+    sweep's pairs and the penalty term, as for core_update_olrf.
     """
     return _core_update(x, cores, n, lam, mu, latent, np.asarray(dual)[None], 1, sides)

@@ -281,8 +281,12 @@ def transfer(core):
     sum_i G[a, i, b] G[c, i, d]; the product of the transfer matrices of a
     chain is the transfer matrix of the merged chain.
     """
-    p, _, q = core.shape
-    return np.tensordot(core, core, axes=(1, 1)).transpose(0, 2, 1, 3).reshape(p * p, q * q)
+    p, i, q = core.shape
+    h = core.transpose(0, 2, 1).reshape(p * q, i)
+    # a copy of h^T keeps this the gemm tensordot makes: h @ h.T would take
+    # BLAS's symmetric product and change the bits
+    t = h @ np.ascontiguousarray(h.T)
+    return t.reshape(p, q, p, q).transpose(0, 2, 1, 3).reshape(p * p, q * q)
 
 
 def transfer_gram(prefix, suffix):

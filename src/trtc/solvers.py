@@ -31,9 +31,11 @@ of cores that share a shape (R_n, I_n, R_{n+1}): a ShapeGroup holds the
 group's auxiliary tensors (3, m, ...) and multipliers (k, m, ...) as
 stacks, and its cores are stacked once per iteration. The core sweep reads
 core n's slices grp.aux[:, j] and grp.multipliers[:, j] through one slot
-map. The SVT targets are taken in order i = 1, 2, 3, each after aux[i - 1]
-is written, so LLRF stays Gauss-Seidel over the three latent tensors of a
-core; OLRF's targets do not read aux.
+map, and the penalty term Gamma_2(mu * sum_i aux_i + sum_j Y_j) of its
+update, which the sweep does not change, from a stack formed once per
+group before the sweep. The SVT targets are taken in order i = 1, 2, 3,
+each after aux[i - 1] is written, so LLRF stays Gauss-Seidel over the
+three latent tensors of a core; OLRF's targets do not read aux.
 
 The core sweep reads the sides of each core from two generators: a
 ring.data_sweep over x and the cores, which splits the ring in two halves
@@ -274,8 +276,8 @@ def _solve(name, observed, mask, cfg, truth=None):
     trans = [transfer(g) for g in cores]
     r = cores[0].shape[0]
     suffixes = None  # the first chain sweep builds them from the initial cores
-    # core n's state is slice j of its group's stacks
-    slots = {n: (grp, j) for grp in state.groups for j, n in enumerate(grp.members)}
+    # core n's state is slice j of the stacks of group state.groups[gi]
+    slots = {n: (gi, j) for gi, grp in enumerate(state.groups) for j, n in enumerate(grp.members)}
 
     rel_hist, rse_hist, cons_hist, iter_times, mu_hist = [], [], [], [], []
     converged = False
@@ -289,11 +291,18 @@ def _solve(name, observed, mask, cfg, truth=None):
             z = None
             chains = data_sweep(x, cores, _merge, suffixes)
             products = sweep(trans, np.matmul, np.eye(r * r))
+            # the penalty terms of the core updates, which the sweep leaves
+            # unchanged, once per core shape
+            penalties = [
+                gamma_unfold(mu * grp.aux.sum(0) + grp.multipliers.sum(0), 2, stacked=True)
+                for grp in state.groups
+            ]
             for n in range(1, order + 1):
-                grp, j = slots[n - 1]
+                gi, j = slots[n - 1]
+                grp = state.groups[gi]
                 g = model.core_update(
                     x, cores, grp.aux[:, j], grp.multipliers[:, j], n, cfg.lam, mu,
-                    (next(chains), next(products)),
+                    (next(chains), next(products), penalties[gi][j]),
                 )
                 cores[n - 1] = g
                 trans[n - 1] = transfer(g)

@@ -83,6 +83,33 @@ def test_svt_negative_threshold_raises():
         svt(np.eye(3), float("nan"))
 
 
+def test_svt_nan_entry_raises_linalg_error():
+    a = np.random.default_rng(13).standard_normal((2, 4, 6))
+    a[1, 2, 3] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        svt(a, 0.1)
+
+
+@pytest.mark.parametrize("ratio,through_svd", [(0.999e4, 0), (1.001e4, 1), (np.inf, 3)])
+def test_svt_takes_the_svd_only_beyond_the_squaring_guard(monkeypatch, ratio, through_svd):
+    # the Gram route squares the singular values; a matrix whose s_max / beta
+    # is above 1e4 (all of them at beta = 0) takes the SVD, alone
+    rng = np.random.default_rng(14)
+    a = rng.standard_normal((3, 5, 8)) * np.array([1.0, 0.5, 0.25])[:, None, None]
+    beta = np.linalg.svd(a[0], compute_uv=False)[0] / ratio
+    want = []
+    for aj in a:
+        u, s, vt = np.linalg.svd(aj, full_matrices=False)
+        want.append((u * np.maximum(s - beta, 0.0)) @ vt)
+    seen = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: seen.append(len(m)) or svd(m, **kw))
+    res = svt(a, beta)
+    assert sum(seen) == through_svd
+    np.testing.assert_allclose(res.matrix, want, rtol=0, atol=1e-12 * np.abs(a).max())
+    assert res.effective_rank == 15
+
+
 def test_ridge_solve_identity_and_scaled_identity():
     rng = np.random.default_rng(4)
     b = rng.standard_normal((3, 5))

@@ -352,10 +352,11 @@ def traced_solver_names():
 def test_loop_merges_and_contractions_go_through_the_solver_module(monkeypatch, name, solver):
     # the benchmark's per-layer metrics count the calls through the
     # trtc.solvers attributes its tracer wraps: every one the loop makes
-    # must pass there. Per iteration, one core update per core, three SVTs,
-    # unfolds and folds per core shape, N-2 merges and one trace
-    # contraction; per solve, one input check and the N-m-1 merges of the
-    # first suffix chains
+    # must pass there. Per iteration, one core update per core, three SVTs
+    # and folds and four unfolds (three SVT targets and the core updates'
+    # penalty terms) per core shape, N-2 merges and one trace contraction;
+    # per solve, one input check and the N-m-1 merges of the first suffix
+    # chains
     shape = (3, 2, 3, 2, 3, 2)
     order, iters, shapes = len(shape), 2, 2
     truth, mask = synth_instance(shape, (2,) * order, 0.5, 0, std=0.5)
@@ -363,7 +364,7 @@ def test_loop_merges_and_contractions_go_through_the_solver_module(monkeypatch, 
         "core_update_olrf": iters * order if name == "olrf" else 0,
         "core_update_llrf": iters * order if name == "llrf" else 0,
         "svt": iters * 3 * shapes,
-        "gamma_unfold": iters * 3 * shapes,
+        "gamma_unfold": iters * 4 * shapes,
         "gamma_fold": iters * 3 * shapes,
         "_merge": (order - split_mode(shape) - 1) + iters * (order - 2),
         "_trace_contract": iters,
