@@ -18,29 +18,37 @@ with its multiplier: k = 3 (M_ni = G_n) for the overlapped model, k = 1
 
 for G2 = Gamma_2(G_n), where Q = Delta_2(subchain)^T and the k multipliers
 Y_j come as one (k,) + core stack. core_update_olrf and core_update_llrf
-are its checked entry points; the latent model's single multiplier is
-passed as a stack of one.
+are its entry points; the latent model's single multiplier is passed as a
+stack of one.
 
 The data term Delta_n(X) Q^T is read from the sides of core n in a
 ring.data_sweep, which splits the ring in two halves and contracts X once
 per half: one of the two sides already holds X contracted with every core
 but core n and those of the other side, a chain, so the data term is one
-small contraction of the two sides. The Gram Q Q^T is read from the transfer
-products beside core n (ring.subchain_gram), so neither the subchain nor an
-unfolding of X is formed. A solver that sweeps the cores passes the sides it
-already holds and the penalty term Gamma_2(mu * sum_i aux_i + sum_j Y_j);
-without them they are built from X, the cores, aux and the multipliers the
-same way, so both calls give the same core bit for bit.
+small 2-D product of the two sides. The Gram Q Q^T is read from the
+transfer products beside core n (ring.subchain_gram), so neither the
+subchain nor an unfolding of X is formed.
+
+A solver that sweeps the cores passes the sides it already holds and the
+penalty term Gamma_2(mu * sum_i aux_i + sum_j Y_j). It built every shape in
+them itself, and its system is positive definite by construction (lam > 0,
+mu >= 1), so that path is the bare formula: nothing is checked, the system
+goes to one np.linalg.solve and G2 is folded by a reshape. Without the
+sides, the entry points check the caller's x, cores, aux and multipliers,
+build the sides from them the same way and solve through ridge_solve, which
+rejects a system that is not finite, symmetric and positive definite; both
+paths give the same core bit for bit.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-# delta_unfold is no longer called here; it stays a module attribute because
-# the benchmark's tracer (perfbench/tracing.py) wraps trtc.prox.delta_unfold
+# delta_unfold and gamma_fold are not called here; they stay module
+# attributes because the benchmark's tracer (perfbench/tracing.py) wraps
+# trtc.prox.delta_unfold and trtc.prox.gamma_fold
 from .tensors import _check_mode, delta_unfold, gamma_fold, gamma_unfold  # noqa: F401
-from .ring import _checked, _core_list, data_sides, subchain_gram, transfer_gram
+from .ring import _checked, data_sides, subchain_gram, transfer_gram
 
 
 # the largest ratio lam / beta^2 that svt thresholds through the Gram:
@@ -79,12 +87,12 @@ def svt(a, beta):
         raise ValueError("beta must be nonnegative")
     a = np.asarray(a, dtype=float)
     b2 = beta * beta
-    at = np.swapaxes(a, -1, -2)
+    at = a.swapaxes(-1, -2)
     wide = a.shape[-2] <= a.shape[-1]
     lam, v = np.linalg.eigh(a @ at if wide else at @ a)
     # sqrt(beta * beta) is beta, so f is 0 exactly where lam <= beta^2
     f = 1.0 - beta / np.sqrt(np.maximum(lam, max(b2, _TINY)))
-    p = (v * f[..., None, :]) @ np.swapaxes(v, -1, -2)
+    p = (v * f[..., None, :]) @ v.swapaxes(-1, -2)
     m = p @ a if wide else a @ p
     kept = lam > b2
     rank = np.count_nonzero(kept)
@@ -127,48 +135,71 @@ def data_term(prefix, suffix):
           (R_1, A, R_n);
       n > m: prefix V_n (B, I_n, R_1, R_n) against the suffix chain
           (R_{n+1}, B, R_1).
+    Each is one product of the two sides laid out as matrices, the product
+    np.tensordot forms, so the bits are tensordot's.
     """
     if suffix.ndim == 4:
-        t = np.tensordot(suffix, prefix, axes=([1, 2], [1, 0]))  # [i_n, r_{n+1}, r_n]
-    else:
-        t = np.tensordot(prefix, suffix, axes=([0, 2], [1, 2])).transpose(0, 2, 1)
-    # columns of Delta_2 run over (r_n, r_{n+1}), r_n fastest
-    return t.reshape(len(t), -1)
+        i, a, r, q = suffix.shape
+        t = np.dot(suffix.transpose(0, 3, 1, 2).reshape(i * q, a * r),
+                   prefix.transpose(1, 0, 2).reshape(a * r, -1))  # [(i_n, r_{n+1}), r_n]
+        # columns of Delta_2 run over (r_n, r_{n+1}), r_n fastest
+        return t.reshape(i, -1)
+    b, i, r, p = prefix.shape
+    t = np.dot(prefix.transpose(1, 3, 0, 2).reshape(i * p, b * r),
+               suffix.transpose(1, 2, 0).reshape(b * r, -1))  # [(i_n, r_n), r_{n+1}]
+    return t.reshape(i, p, -1).transpose(0, 2, 1).reshape(i, -1)
 
 
-def _core_update(x, cores, n, lam, mu, aux, duals, k, sides):
-    # cores and x, checked unless a sweep's sides, which hold x, come with
-    # them; aux must have shape (3,) + core n's and duals (k,) + core n's,
-    # so none broadcasts
-    cs, x = _checked(cores, x) if sides is None else (_core_list(cores), x)
+def _solve_spd(b, a):
+    # X A = B for A = lam * Q Q^T + k * mu * I, which a solver loop (lam > 0,
+    # mu >= 1) builds positive definite, so there is nothing to check
+    return np.linalg.solve(a, b.T).T
+
+
+def _core_update(chains, gram, penalty, shape, lam, mu, k, solve):
+    # the one core-update formula: G2 (lam * gram + k * mu * I) =
+    # lam * data_term + penalty, solved for G2 = Gamma_2(G_n) and folded
+    # into core n's shape (R_n, I_n, R_{n+1})
+    b = lam * data_term(*chains) + penalty
+    a = lam * gram
+    a.flat[::len(a) + 1] += k * mu
+    p, i, q = shape
+    return solve(b, a).reshape(i, p, q, order="F").transpose(1, 0, 2)
+
+
+def _update(x, cores, n, lam, mu, aux, duals, k, sides):
+    if sides is not None:
+        # a sweep's sides: the loop built every shape they hold
+        chains, products, penalty = sides
+        return _core_update(chains, transfer_gram(*products), penalty, cores[n - 1].shape,
+                            lam, mu, k, _solve_spd)
+    # a caller's own state: the cores and x are checked, and aux must have
+    # shape (3,) + core n's and duals (k,) + core n's, so none broadcasts
+    cs, x = _checked(cores, x)
     _check_mode(len(cs), n)
     shape = cs[n - 1].shape
     if np.shape(aux) != (3,) + shape or np.shape(duals) != (k,) + shape:
         raise ValueError(f"core {n} takes aux of shape {(3,) + shape}, {k} multipliers of shape {shape}")
-    if sides is None:
-        chains, gram = data_sides(x, cs, n), subchain_gram(cs, n)
-        penalty = gamma_unfold(mu * np.sum(aux, 0) + np.sum(duals, 0), 2)
-    else:
-        chains, products, penalty = sides
-        gram = transfer_gram(*products)
-    b = lam * data_term(*chains) + penalty
-    a = lam * gram
-    a.flat[::len(a) + 1] += k * mu
-    return gamma_fold(ridge_solve(b, a), 2, shape)
+    penalty = gamma_unfold(mu * np.sum(aux, 0) + np.sum(duals, 0), 2)
+    return _core_update(data_sides(x, cs, n), subchain_gram(cs, n), penalty, shape, lam, mu, k, ridge_solve)
 
 
 def core_update_olrf(x, cores, aux, duals, n, lam, mu, sides=None):
     """Minimizer of the overlapped-model core sub-objective for core n.
 
     aux and duals are the three auxiliary tensors M_ni and multipliers Y_ni,
-    each shaped like core n. sides, when given, is the n-th sides of a
-    ring.data_sweep over x and the cores and of a ring.sweep over their
-    transfer matrices, the pairs data_sides(x, cores, n) and
+    each shaped like core n; x, the cores, aux and duals are checked, and
+    the system is solved by ridge_solve, which rejects one that is not
+    finite, symmetric and positive definite. sides, when given, is the n-th
+    sides of a ring.data_sweep over x and the cores and of a ring.sweep over
+    their transfer matrices, the pairs data_sides(x, cores, n) and
     subchain_gram(cores, n) build, and the penalty term
-    gamma_unfold(mu * sum_i aux_i + sum_j Y_j, 2); x, aux and duals are
-    then read only through them, and aux and duals only for their shapes.
+    gamma_unfold(mu * sum_i aux_i + sum_j Y_j, 2), as a solver loop holds
+    them: nothing is checked, x, aux and duals are not read, and the system,
+    positive definite for lam >= 0 and mu > 0, goes straight to
+    np.linalg.solve.
     """
-    return _core_update(x, cores, n, lam, mu, aux, duals, 3, sides)
+    return _update(x, cores, n, lam, mu, aux, duals, 3, sides)
 
 
 def core_update_llrf(x, cores, latent, dual, n, lam, mu, sides=None):
@@ -178,4 +209,4 @@ def core_update_llrf(x, cores, latent, dual, n, lam, mu, sides=None):
     multiplier Y_n for the constraint sum_i W_ni = G_n. sides is the
     sweep's pairs and the penalty term, as for core_update_olrf.
     """
-    return _core_update(x, cores, n, lam, mu, latent, np.asarray(dual)[None], 1, sides)
+    return _update(x, cores, n, lam, mu, latent, (dual,), 1, sides)

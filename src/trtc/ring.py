@@ -174,7 +174,7 @@ def split_mode(shape):
 
 
 def data_sweep(x, cores, merge=_merge, suffixes=None):
-    """Sides (prefix, suffix) of the data terms of cores n = 1..N, as a Gauss-Seidel sweep reads them.
+    """Sides (prefix, suffix) of the data terms of cores n = 1..N, sweep after sweep, as a Gauss-Seidel solver reads them.
 
     The ring is split at m = split_mode(x.shape), and x, read first index
     fastest as a (I_1...I_m, I_{m+1}...I_N) matrix, is contracted in one
@@ -183,12 +183,14 @@ def data_sweep(x, cores, merge=_merge, suffixes=None):
       n <= m: prefix is the chain of cores 1..n-1, (R_1, A, R_n), and
           suffix U_n, x against the cores n+1..N, (I_n, A, R_1, R_{n+1});
           U_m is x against the chain of cores m+1..N, and U_{n-1} is U_n
-          against core n, all made before the first yield;
+          against core n, all made before the sweep's first yield;
       n > m: prefix is V_n, x against the cores 1..n-1, (B, I_n, R_1, R_n),
           and suffix the chain of cores n+1..N, (R_{n+1}, B, R_1); V_{m+1}
           is x against the chain of cores 1..m, and V_{n+1} is V_n against
           core n.
     A chain with no cores is identity_chain(R_1); merge combines two chains.
+    A partial is carried past a core in one product of the two laid out as
+    matrices, the product np.tensordot forms, so the bits are tensordot's.
     suffixes are the chains of the last k cores, k = 0..N-m, right to left;
     by default they are built from the cores. After each yield the sides
     are extended with cores[n-1] as the caller then holds it, so a sweep
@@ -196,34 +198,56 @@ def data_sweep(x, cores, merge=_merge, suffixes=None):
     they now are. Resumed once more after core N, the sweep yields the two
     halves of the ring as the caller now holds it: the chain of cores 1..m
     and the suffixes of the next sweep, whose last entry is the chain of
-    cores m+1..N.
+    cores m+1..N. Resumed after that, it sweeps again from those suffixes
+    and x as the caller then holds it. What the sweeps derive from the
+    extents and ranks alone (m and the layouts of every product) is derived
+    once, before the first sweep.
     """
     x = np.asarray(x)
     shape = x.shape
     order = len(cores)
     m = split_mode(shape)
     r = cores[0].shape[0]
+    ranks = [c.shape[0] for c in cores] + [r]
+    rows, cols = math.prod(shape[:m]), math.prod(shape[m:])
+    # core n's product: the partial's and the core's matrix shapes and the
+    # shape of the partial it makes, U_{n-1} (n <= m) or V_{n+1} (n > m)
+    steps = {}
+    for n in range(2, m + 1):
+        a, i, p, q = math.prod(shape[:n - 1]), shape[n - 1], ranks[n - 1], ranks[n]
+        steps[n] = (a * r, i * q), (i * q, p), (shape[n - 2], a // shape[n - 2], r, p)
+    for n in range(m + 1, order):
+        b, i, p, q = math.prod(shape[n:]), shape[n - 1], ranks[n - 1], ranks[n]
+        steps[n] = (b * r, i * p), (i * p, q), (b // shape[n], shape[n], r, q)
+    empty = identity_chain(r)
     if suffixes is None:
-        suffixes = _suffixes(cores, merge, identity_chain(r), m)
-    x_half = x.reshape(math.prod(shape[:m]), -1, order="F")
-    # U_m, then U_{m-1}..U_1 from the cores as they are before the first yield
-    u = x_half @ suffixes[-1].transpose(1, 2, 0).reshape(x_half.shape[1], -1)
-    partials = [u.reshape(shape[m - 1], -1, r, suffixes[-1].shape[0])]
-    for n in range(m, 1, -1):
-        u = np.tensordot(partials[-1], cores[n - 1], axes=([0, 3], [1, 2]))  # [j, r_1, r_n]
-        partials.append(u.reshape(shape[n - 2], -1, *u.shape[1:]))
-    prefix = identity_chain(r)
-    for n in range(1, m + 1):
-        yield prefix, partials.pop()
-        prefix = cores[0] if n == 1 else merge(prefix, cores[n - 1])
-    v = x_half.T @ prefix.transpose(1, 0, 2).reshape(x_half.shape[0], -1)
-    v = v.reshape(-1, shape[m], r, prefix.shape[2])
-    for n in range(m + 1, order + 1):
-        yield v, suffixes[order - n]
-        if n < order:
-            v = np.tensordot(v, cores[n - 1], axes=([1, 3], [1, 0]))  # [k, r_1, r_{n+1}]
-            v = v.reshape(-1, shape[n], *v.shape[1:])
-    yield prefix, _suffixes(cores, merge, identity_chain(r), m)
+        suffixes = _suffixes(cores, merge, empty, m)
+    while True:
+        x_half = x.reshape(rows, cols, order="F")
+        # U_m, then U_{m-1}..U_1 from the cores as they are before the first yield
+        u = x_half @ suffixes[-1].transpose(1, 2, 0).reshape(cols, -1)
+        partials = [u.reshape(shape[m - 1], -1, r, ranks[m])]
+        for n in range(m, 1, -1):
+            left, right, out = steps[n]
+            u = np.dot(partials[-1].transpose(1, 2, 0, 3).reshape(left),  # [(j, r_1), (i_n, r_{n+1})]
+                       cores[n - 1].transpose(1, 2, 0).reshape(right))
+            partials.append(u.reshape(out))
+        prefix = empty
+        for n in range(1, m + 1):
+            yield prefix, partials.pop()
+            prefix = cores[0] if n == 1 else merge(prefix, cores[n - 1])
+        v = x_half.T @ prefix.transpose(1, 0, 2).reshape(rows, -1)
+        v = v.reshape(-1, shape[m], r, ranks[m])
+        for n in range(m + 1, order + 1):
+            yield v, suffixes[order - n]
+            if n < order:
+                left, right, out = steps[n]
+                v = np.dot(v.transpose(0, 2, 1, 3).reshape(left),  # [(k, r_1), (i_n, r_n)]
+                           cores[n - 1].transpose(1, 0, 2).reshape(right)).reshape(out)
+        # the partials go before the halves are read
+        x_half = u = v = None
+        suffixes = _suffixes(cores, merge, empty, m)
+        yield prefix, suffixes
 
 
 def _nth(sides, n, order):

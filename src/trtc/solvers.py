@@ -24,7 +24,9 @@ sees the cores already refreshed this sweep), update the auxiliary/latent
 tensors by SVT, refill the missing entries of x from the reconstruction,
 step the multipliers, grow mu. Stops when the relative change of x drops
 below tol; a stop with the reconstruction collapsed toward zero (at most
-_COLLAPSE times the norm of the observed entries) is not converged.
+_COLLAPSE times the norm of the observed entries) is not converged. The
+report's stop_reason says which stop it was: "tol", "collapsed", or
+"max_iters" when the iteration limit came first.
 
 The SVT and dual steps touch each core alone, so they run once per group
 of cores that share a shape (R_n, I_n, R_{n+1}): a ShapeGroup holds the
@@ -48,6 +50,13 @@ half. The reconstruction contracts the two, as ring.reconstruct does, and
 the next sweep starts from those suffix chains, so each chain is built once
 per iteration. x stays first-index-fastest (Fortran order), so the sweep
 reads it without a copy.
+
+One data sweep serves the whole solve, so what it derives from the shapes
+alone (the split and the layouts of its products) is derived once per
+solve, as are the slot map and the empty transfer product. The loop builds
+every shape the core updates read, and their systems are positive definite
+by construction, so a core update given the sweep's sides checks nothing
+and solves its system with one np.linalg.solve (trtc.prox).
 
 The refill writes the reconstruction into the missing entries of x in
 place, through x's flat first-index-fastest view and the positions of the
@@ -124,6 +133,7 @@ class State:
 class SolveReport:
     iterations: int
     converged: bool
+    stop_reason: str  # "tol", "collapsed" (stopped at tol, not converged) or "max_iters"
     rel_change_history: list
     rse_history: Optional[list]
     final_x: np.ndarray
@@ -183,8 +193,11 @@ def _validate(observed, mask, cfg, truth=None):
     obs = observed[mask]
     if not np.isfinite(obs).all():
         raise ValueError("observed entries must be finite")
-    if np.linalg.norm(obs) == 0.0:
+    if not obs.any():
         raise ValueError("observed entries are all zero")
+    # the loop divides by this norm
+    if np.linalg.norm(obs) == 0.0:
+        raise ValueError("observed entries are too small: their norm underflows to zero")
     if len(cfg.tr_rank) != observed.ndim:
         raise ValueError(
             f"rank vector of length {len(cfg.tr_rank)} incompatible with order-{observed.ndim} tensor"
@@ -274,13 +287,16 @@ def _solve(name, observed, mask, cfg, truth=None):
     x_missing = np.zeros(len(missing))
     order = len(cores)
     trans = [transfer(g) for g in cores]
-    r = cores[0].shape[0]
-    suffixes = None  # the first chain sweep builds them from the initial cores
-    # core n's state is slice j of the stacks of group state.groups[gi]
+    # the sweep plan, derived once from the shapes: one data sweep for the
+    # whole solve, which builds its first suffix chains from the initial
+    # cores, the empty transfer product, and core n's slot, slice j of the
+    # stacks of group state.groups[gi]
+    chains = data_sweep(x, cores, _merge)
+    empty = np.eye(cores[0].shape[0] ** 2)
     slots = {n: (gi, j) for gi, grp in enumerate(state.groups) for j, n in enumerate(grp.members)}
 
     rel_hist, rse_hist, cons_hist, iter_times, mu_hist = [], [], [], [], []
-    converged = False
+    stop_reason = "max_iters"
     blowups = 0
     t_start = time.perf_counter()
     for it in range(1, cfg.max_iters + 1):
@@ -289,8 +305,7 @@ def _solve(name, observed, mask, cfg, truth=None):
         try:
             # drop the last iteration's reconstruction before the sweep
             z = None
-            chains = data_sweep(x, cores, _merge, suffixes)
-            products = sweep(trans, np.matmul, np.eye(r * r))
+            products = sweep(trans, np.matmul, empty)
             # the penalty terms of the core updates, which the sweep leaves
             # unchanged, once per core shape
             penalties = [
@@ -306,12 +321,12 @@ def _solve(name, observed, mask, cfg, truth=None):
                 )
                 cores[n - 1] = g
                 trans[n - 1] = transfer(g)
-            # resumed after core N, the chain sweep gives the two halves of
-            # the new ring; its suffixes start the next sweep. Both sweeps
-            # are dropped, with the partial products they hold, before the
-            # refill
+            # resumed after core N, the data sweep gives the two halves of
+            # the new ring and drops its partial contractions; resumed once
+            # more, it starts the next sweep from these suffixes. The
+            # transfer sweep is dropped, with its products, before the refill
             prefix, suffixes = next(chains)
-            chains = products = None
+            products = None
 
             # the prox half runs once per core shape, on the stacked cores
             stacks = [np.stack([cores[n] for n in grp.members]) for grp in state.groups]
@@ -360,12 +375,13 @@ def _solve(name, observed, mask, cfg, truth=None):
             blowups = 0
 
         if rel < cfg.tol:
-            converged = bool(np.linalg.norm(z) > _COLLAPSE * obs_norm)
+            stop_reason = "tol" if np.linalg.norm(z) > _COLLAPSE * obs_norm else "collapsed"
             break
 
     return SolveReport(
         iterations=it,
-        converged=converged,
+        converged=stop_reason == "tol",
+        stop_reason=stop_reason,
         rel_change_history=rel_hist,
         rse_history=rse_hist if truth is not None else None,
         final_x=x,

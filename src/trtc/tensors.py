@@ -19,9 +19,19 @@ def _check_mode(ndim, n):
 
 @lru_cache(maxsize=None)
 def _to_front(ndim, k):
-    # axis k first, the others in natural order, and the inverse permutation
+    # axis k first, the others in natural order, and the inverse
+    # permutation; then both for a stack of tensors along a leading axis,
+    # which goes last, where a first-index-fastest reshape keeps it whole
     perm = (k,) + tuple(range(k)) + tuple(range(k + 1, ndim))
-    return perm, tuple(perm.index(i) for i in range(ndim))
+    inv = tuple(perm.index(i) for i in range(ndim))
+    return perm, inv, tuple(a + 1 for a in perm) + (0,), (ndim,) + inv
+
+
+@lru_cache(maxsize=1024)
+def _fold_targets(shape, k):
+    # the mode-(k+1) unfolding's shape and the tensor's axes with k first
+    rows = shape[k]
+    return (rows, math.prod(shape) // rows), tuple(shape[i] for i in _to_front(len(shape), k)[0])
 
 
 def gamma_unfold(t, n, stacked=False):
@@ -37,9 +47,8 @@ def gamma_unfold(t, n, stacked=False):
         _check_mode(t.ndim, n)
         return t.transpose(_to_front(t.ndim, n - 1)[0]).reshape(t.shape[n - 1], -1, order="F")
     _check_mode(t.ndim - 1, n)
-    # the stack axis goes last, where a first-index-fastest reshape keeps it whole
-    perm = tuple(a + 1 for a in _to_front(t.ndim - 1, n - 1)[0]) + (0,)
-    return t.transpose(perm).reshape(t.shape[n], -1, len(t), order="F").transpose(2, 0, 1)
+    perm = _to_front(t.ndim - 1, n - 1)[2]
+    return t.transpose(perm).reshape(t.shape[n], -1, t.shape[0], order="F").transpose(2, 0, 1)
 
 
 def gamma_fold(m, n, shape):
@@ -51,13 +60,13 @@ def gamma_fold(m, n, shape):
     m = np.asarray(m)
     shape = tuple(shape)
     k = n - 1
-    if m.ndim not in (2, 3) or m.shape[-2:] != (shape[k], math.prod(shape) // shape[k]):
+    unfolded, folded = _fold_targets(shape, k)
+    if m.ndim not in (2, 3) or m.shape[-2:] != unfolded:
         raise ValueError(f"matrix shape {m.shape} does not match mode {n} of {shape}")
-    perm, inv = _to_front(len(shape), k)
-    folded = tuple(shape[i] for i in perm)
+    _, inv, _, stacked_inv = _to_front(len(shape), k)
     if m.ndim == 2:
         return m.reshape(folded, order="F").transpose(inv)
-    return m.transpose(1, 2, 0).reshape(folded + (len(m),), order="F").transpose((len(shape),) + inv)
+    return m.transpose(1, 2, 0).reshape(folded + (m.shape[0],), order="F").transpose(stacked_inv)
 
 
 def delta_unfold(t, n):

@@ -252,8 +252,14 @@ def group_penalty(aux, duals, mu):
     return gamma_unfold(mu * aux.sum(0) + duals.sum(0), 2, stacked=True)[0]
 
 
+# (5, 6, 4) at rank (2, 3, 2) has three core shapes, a shape group of one
+# each in a solver; (50, 2, 2, 2) splits at m = 1 and (2, 2, 2, 50) at
+# m = N - 1, so one half is a single core at either end
 @example(((2, 2, 3, 2), (2, 3, 1, 2), 0))
 @example(((3, 2), (2, 3), 2))
+@example(((5, 6, 4), (2, 3, 2), 3))
+@example(((50, 2, 2, 2), (2, 3, 2, 2), 4))
+@example(((2, 2, 2, 50), (2, 3, 2, 2), 5))
 @given(ring_problems())
 def test_core_updates_without_chains_equal_the_solver_chains(problem):
     # a sweep that replaces each core after its update yields, for core n,
@@ -289,6 +295,68 @@ def test_core_updates_without_chains_equal_the_solver_chains(problem):
     assert same_bits(z, reconstruct(cores))
     fresh = next(data_sweep(x, cores, suffixes=suffixes))
     assert all(same_bits(a, b) for a, b in zip(fresh, data_sides(x, cores, 1)))
+    # resumed once more, the sweep starts the next from those suffixes and
+    # x as it now is, refilled in place as a solver does
+    x[...] = rng.standard_normal(x.shape)
+    assert all(same_bits(a, b) for a, b in zip(next(chains), data_sides(x, cores, 1)))
+
+
+def tensordot_sweep(x, cores):
+    # the sides of one data_sweep over x, with every partial carried past a
+    # core by np.tensordot: the formulation data_sweep's products replace
+    shape, order = x.shape, len(cores)
+    m = split_mode(shape)
+    r = cores[0].shape[0]
+    suffixes = [identity_chain(r)]
+    for c in reversed(cores[m:]):
+        suffixes.append(c if len(suffixes) == 1 else _merge(c, suffixes[-1]))
+    x_half = x.reshape(int(np.prod(shape[:m])), -1, order="F")
+    u = x_half @ suffixes[-1].transpose(1, 2, 0).reshape(x_half.shape[1], -1)
+    partials = [u.reshape(shape[m - 1], -1, r, suffixes[-1].shape[0])]
+    for n in range(m, 1, -1):
+        u = np.tensordot(partials[-1], cores[n - 1], axes=([0, 3], [1, 2]))  # [j, r_1, r_n]
+        partials.append(u.reshape(shape[n - 2], -1, *u.shape[1:]))
+    prefix = identity_chain(r)
+    for n in range(1, m + 1):
+        yield prefix, partials.pop()
+        prefix = cores[0] if n == 1 else _merge(prefix, cores[n - 1])
+    v = x_half.T @ prefix.transpose(1, 0, 2).reshape(x_half.shape[0], -1)
+    v = v.reshape(-1, shape[m], r, prefix.shape[2])
+    for n in range(m + 1, order + 1):
+        yield v, suffixes[order - n]
+        if n < order:
+            v = np.tensordot(v, cores[n - 1], axes=([1, 3], [1, 0]))  # [k, r_1, r_{n+1}]
+            v = v.reshape(-1, shape[n], *v.shape[1:])
+
+
+def tensordot_data_term(prefix, suffix):
+    # data_term with its one contraction written as np.tensordot
+    if suffix.ndim == 4:
+        t = np.tensordot(suffix, prefix, axes=([1, 2], [1, 0]))  # [i_n, r_{n+1}, r_n]
+    else:
+        t = np.tensordot(prefix, suffix, axes=([0, 2], [1, 2])).transpose(0, 2, 1)
+    return t.reshape(len(t), -1)
+
+
+@example(((2, 2, 3, 2), (2, 3, 1, 2), 0))
+@example(((3, 2), (2, 3), 2))
+@example(((5, 6, 4), (2, 3, 2), 3))
+@example(((50, 2, 2, 2), (2, 3, 2, 2), 4))
+@example(((2, 2, 2, 50), (2, 3, 2, 2), 5))
+@given(ring_problems())
+def test_sweep_products_equal_their_tensordot_form(problem):
+    # every side of a Gauss-Seidel data sweep and every data term on them,
+    # bit for bit, for x C-ordered, Fortran-ordered and strided
+    cores, x = ring_instance(problem)
+    rng = np.random.default_rng(problem[2] + 2)
+    for xl in layouts(x):
+        got_cores, want_cores = list(cores), list(cores)
+        got, want = data_sweep(xl, got_cores), tensordot_sweep(xl, want_cores)
+        for n in range(1, len(cores) + 1):
+            sides, reference = next(got), next(want)
+            assert all(same_bits(a, b) for a, b in zip(sides, reference))
+            assert same_bits(data_term(*sides), tensordot_data_term(*reference))
+            got_cores[n - 1] = want_cores[n - 1] = rng.standard_normal(cores[n - 1].shape)
 
 
 @st.composite

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import trtc.prox
 from trtc import (
     svt,
     core_update_olrf,
@@ -200,6 +201,41 @@ def test_core_update_rejects_malformed_state(model, case):
             core_update_olrf(x, cores, aux, duals, 2, 10.0, 2.0)
         else:
             core_update_llrf(x, cores, aux, duals[0], 2, 10.0, 2.0)
+
+
+@pytest.mark.parametrize("model", ["olrf", "llrf"])
+def test_core_update_of_caller_state_goes_through_ridge_solve(monkeypatch, model):
+    # without a sweep's sides the system is built from the caller's own
+    # state, so it is solved by the checked ridge_solve: one call per
+    # update, and a system that is not positive definite or not finite is
+    # rejected
+    rng = np.random.default_rng(13)
+    cores, x, n = rand_instance(rng)
+    shape = cores[n - 1].shape
+    aux = [rng.standard_normal(shape) for _ in range(3)]
+    duals = [rng.standard_normal(shape) for _ in range(3)]
+
+    def update(x, lam):
+        if model == "olrf":
+            return core_update_olrf(x, cores, aux, duals, n, lam, 2.0)
+        return core_update_llrf(x, cores, aux, duals[0], n, lam, 2.0)
+
+    systems = []
+    ridge = trtc.prox.ridge_solve
+    monkeypatch.setattr(trtc.prox, "ridge_solve", lambda b, a: systems.append(a) or ridge(b, a))
+    update(x, 10.0)
+    assert len(systems) == 1
+    # the system is 10 * Gram + k * mu * I with k * mu <= 6; above 12, its
+    # top eigenvalue has 10 times the Gram's outweigh the ridge, so at
+    # lam = -10 the system is indefinite
+    assert np.linalg.eigvalsh(systems[0]).max() > 12.0
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        update(x, -10.0)
+    bad = x.copy()
+    bad.flat[0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError, match="not finite"):
+        update(bad, 10.0)
+    assert len(systems) == 3
 
 
 def normal_system(x, cores, n, lam, extra):

@@ -155,6 +155,26 @@ def test_input_validation(monkeypatch):
             solver(np.where(mask, 0.0, np.nan), mask, SolverConfig(tr_rank=(4, 5, 4, 5)))
 
 
+@pytest.mark.parametrize("scale,message", [
+    pytest.param(0.0, "observed entries are all zero", id="zero"),
+    # every entry nonzero, but each square underflows, so the norm the loop
+    # divides by is 0
+    pytest.param(1e-300, "observed entries are too small: their norm underflows to zero", id="tiny"),
+])
+def test_zero_and_underflowing_observed_entries_are_told_apart(monkeypatch, scale, message):
+    truth, mask = synth_instance((4, 4, 4), (2, 2, 2), 0.3, 0)
+    obs = np.where(mask, truth * scale, np.nan)
+    assert (obs[mask] != 0).all() == (scale != 0)
+
+    def no_state(*args):
+        raise AssertionError("observed entries without a norm reached init_state")
+
+    monkeypatch.setattr(trtc.solvers, "init_state", no_state)
+    for _, solver in SOLVERS:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solver(obs, mask, SolverConfig(tr_rank=(2, 2, 2)))
+
+
 @pytest.mark.parametrize("bad,message", [
     pytest.param(lambda t, m: t[:, :, :, :9], "truth shape", id="cut"),
     pytest.param(lambda t, m: t.reshape(100, 100), "truth shape", id="reshaped"),
@@ -182,6 +202,7 @@ def test_fully_observed_fixed_point(name, solver):
     rep = solver(truth, mask, SolverConfig(tr_rank=(2, 2, 2), seed=0))
     assert rep.iterations == 1
     assert rep.converged
+    assert rep.stop_reason == "tol"
     np.testing.assert_array_equal(rep.final_x, truth)
     assert rse(rep.final_x, truth, "all") == 0.0
 
@@ -214,7 +235,23 @@ def test_collapsed_solve_is_not_converged(solver, shape, rank, missing_rate, see
     rep = solver(np.where(mask, truth, np.nan), mask,
                  SolverConfig(tr_rank=(rank,) * len(shape), seed=seed))
     assert rep.converged is False
+    assert rep.stop_reason == "collapsed"
     assert rep.iterations == 1
+
+
+@pytest.mark.parametrize("name,solver,iterations", [("olrf", solve_olrf, 11), ("llrf", solve_llrf, 18)])
+def test_stop_reason_tells_a_collapse_from_the_iteration_limit(name, solver, iterations):
+    # at tol 1e-300 this instance stops only once the reconstruction has
+    # collapsed to zero, which makes the relative change exactly 0; with
+    # fewer iterations allowed it stops at the limit
+    truth, mask = synth_instance((4, 4, 4), (2, 2, 2), 0.3, 1)
+    obs = np.where(mask, truth, np.nan)
+    rep = solver(obs, mask, SolverConfig(tr_rank=(2, 2, 2), tol=1e-300, seed=0))
+    assert (rep.iterations, rep.converged, rep.stop_reason) == (iterations, False, "collapsed")
+    assert rep.rel_change_history[-1] == 0.0
+    cut = solver(obs, mask, SolverConfig(tr_rank=(2, 2, 2), tol=1e-300, max_iters=iterations - 1, seed=0))
+    assert (cut.iterations, cut.converged, cut.stop_reason) == (iterations - 1, False, "max_iters")
+    assert cut.rel_change_history == rep.rel_change_history[:-1]
 
 
 @pytest.mark.parametrize("name,solver", SOLVERS)
@@ -257,6 +294,7 @@ def test_synthetic_recovery_and_consistency(name, solver):
     cfg = SolverConfig(tr_rank=(4, 5, 4, 5), seed=0)
     rep = solver(obs, mask, cfg, truth=truth)
     assert rep.converged and rep.iterations <= 500
+    assert rep.stop_reason == "tol"
     assert rse(rep.final_x, truth, "missing", mask) < 1e-2
     # splitting variables agree with the cores once converged
     assert rep.consistency_history[-1] < 1e-3
@@ -387,6 +425,35 @@ def test_loop_merges_and_contractions_go_through_the_solver_module(monkeypatch, 
                  SolverConfig(tr_rank=(2,) * order, tol=1e-300, max_iters=iters, seed=0))
     assert rep.iterations == iters
     assert calls == expected
+
+
+@pytest.mark.parametrize("name,solver", SOLVERS)
+def test_loop_kernel_budget(monkeypatch, name, solver):
+    # the loop's system lam * Q Q^T + k * mu * I is positive definite by
+    # construction (k * mu >= 1), so each core update is one bare solve,
+    # with no Cholesky factor and no ridge_solve; per iteration, one solve
+    # per core and one stacked eigh per unfolding and core shape
+    shape = (3, 2, 3, 2, 3, 2)
+    order, iters, shapes = len(shape), 2, 2
+    truth, mask = synth_instance(shape, (2,) * order, 0.5, 0, std=0.5)
+    calls = {}
+
+    def count(module, attr):
+        fn = getattr(module, attr)
+        calls[attr] = 0
+
+        def wrapped(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, attr, wrapped)
+
+    for attr in ("cholesky", "solve", "eigh"):
+        count(np.linalg, attr)
+    count(trtc.prox, "ridge_solve")
+    rep = solver(np.where(mask, truth, np.nan), mask,
+                 SolverConfig(tr_rank=(2,) * order, tol=1e-300, max_iters=iters, seed=0))
+    assert rep.iterations == iters
+    assert calls == {"cholesky": 0, "ridge_solve": 0, "solve": iters * order, "eigh": iters * 3 * shapes}
 
 
 @pytest.mark.parametrize("name,solver", SOLVERS)
