@@ -28,11 +28,13 @@ from .ring import TRRank, reconstruct
 from .solvers import DivergenceError, SolverConfig, _checked_truth, rse, solve_llrf, solve_olrf
 
 SOLVERS = {"olrf": solve_olrf, "llrf": solve_llrf}
+# the std of the synthetic cores, for synth_instance, run_sweep and the flags
+_STD = 0.5
 
 
 # ---------------------------------------------------------------- synthesis
 
-def synth_instance(shape, ranks, missing_rate, seed, std=0.5):
+def synth_instance(shape, ranks, missing_rate, seed, std=_STD):
     """Random TR tensor and observation mask.
 
     Cores are i.i.d. N(0, std^2) from RNG stream [seed, 0]; the mask drops
@@ -149,7 +151,7 @@ def cmd_complete(args):
 
 
 def run_sweep(axis, grid, shape, gen_rank, missing_rate, lam, solver_names,
-              repeats, seed, tol=1e-6, max_iters=500, std=0.5):
+              repeats, seed, tol=SolverConfig.tol, max_iters=SolverConfig.max_iters, std=_STD):
     """One row per (grid point, solver): mean/std RSE over `repeats` runs.
 
     axis picks what the grid varies: the missing rate, a uniform solver
@@ -271,7 +273,7 @@ def build_parser():
     ps.add_argument("--shape", type=_ints, required=True, help="e.g. 10,10,10,10")
     ps.add_argument("--rank", type=_ints, required=True, help="TR-rank, e.g. 4,5,4,5")
     ps.add_argument("--missing-rate", type=float, default=0.5)
-    ps.add_argument("--std", type=float, default=0.5)
+    ps.add_argument("--std", type=float, default=_STD)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--out", required=True, help="output path prefix")
     ps.set_defaults(func=cmd_synth)
@@ -282,9 +284,9 @@ def build_parser():
     pc.add_argument("--reshape", type=_ints, help="reshape extents before solving")
     pc.add_argument("--rank", type=_ints, required=True)
     pc.add_argument("--solver", choices=sorted(SOLVERS), default="olrf")
-    pc.add_argument("--lambda", dest="lam", type=float, default=10.0)
-    pc.add_argument("--tol", type=float, default=1e-6)
-    pc.add_argument("--max-iters", type=int, default=500)
+    pc.add_argument("--lambda", dest="lam", type=float, default=SolverConfig.lam)
+    pc.add_argument("--tol", type=float, default=SolverConfig.tol)
+    pc.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--out", required=True, help="output path prefix")
     pc.set_defaults(func=cmd_complete)
@@ -295,11 +297,11 @@ def build_parser():
     pw.add_argument("--shape", type=_ints, required=True)
     pw.add_argument("--rank", type=_ints, required=True, help="generator TR-rank")
     pw.add_argument("--missing-rate", type=float, default=0.5)
-    pw.add_argument("--std", type=float, default=0.5)
+    pw.add_argument("--std", type=float, default=_STD)
     pw.add_argument("--solver", choices=sorted(SOLVERS) + ["both"], default="both")
-    pw.add_argument("--lambda", dest="lam", type=float, default=10.0)
-    pw.add_argument("--tol", type=float, default=1e-6)
-    pw.add_argument("--max-iters", type=int, default=500)
+    pw.add_argument("--lambda", dest="lam", type=float, default=SolverConfig.lam)
+    pw.add_argument("--tol", type=float, default=SolverConfig.tol)
+    pw.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
     pw.add_argument("--repeats", type=int, default=10)
     pw.add_argument("--seed", type=int, default=0)
     pw.add_argument("--out", required=True, help="output CSV path")

@@ -21,34 +21,26 @@ Y_j come as one (k,) + core stack. core_update_olrf and core_update_llrf
 are its entry points; the latent model's single multiplier is passed as a
 stack of one.
 
-The data term Delta_n(X) Q^T is read from the sides of core n in a
-ring.data_sweep, which splits the ring in two halves and contracts X once
-per half: one of the two sides already holds X contracted with every core
-but core n and those of the other side, a chain, so the data term is one
-small 2-D product of the two sides. The Gram Q Q^T is read from the
-transfer products beside core n (ring.subchain_gram), so neither the
-subchain nor an unfolding of X is formed.
-
-A solver that sweeps the cores passes the sides it already holds and the
-penalty term Gamma_2(mu * sum_i aux_i + sum_j Y_j). It built every shape in
-them itself, and its system is positive definite by construction (lam > 0,
+A solver that sweeps the cores passes what its ring.data_sweep yields for
+core n, the data term Delta_n(X) Q^T and the Gram Q Q^T, with the penalty
+term Gamma_2(mu * sum_i aux_i + sum_j Y_j). It built every shape in them
+itself, and its system is positive definite by construction (lam > 0,
 mu >= 1), so that path is the bare formula: nothing is checked, the system
-goes to one np.linalg.solve and G2 is folded by a reshape. Without the
-sides, the entry points check the caller's x, cores, aux and multipliers,
-build the sides from them the same way and solve through ridge_solve, which
-rejects a system that is not finite, symmetric and positive definite; both
-paths give the same core bit for bit.
+goes to one np.linalg.solve and G2 is folded by a reshape. Without them,
+the entry points check the caller's x, cores, aux and multipliers, form the
+data term from the dense unfoldings of x and the subchain and the Gram
+with ring.subchain_gram, and solve through ridge_solve, which rejects a
+system that is not finite, symmetric and positive definite.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-# delta_unfold and gamma_fold are not called here; they stay module
-# attributes because the benchmark's tracer (perfbench/tracing.py) wraps
-# trtc.prox.delta_unfold and trtc.prox.gamma_fold
+# gamma_fold is not called here; it stays a module attribute because the
+# benchmark's tracer (perfbench/tracing.py) wraps trtc.prox.gamma_fold
 from .tensors import _check_mode, delta_unfold, gamma_fold, gamma_unfold  # noqa: F401
-from .ring import _checked, data_sides, subchain_gram, transfer_gram
+from .ring import _checked, subchain, subchain_gram
 
 
 # the largest ratio lam / beta^2 that svt thresholds through the Gram:
@@ -100,8 +92,8 @@ def svt(a, beta):
     # SVD, so the floor above only keeps 0 / 0 out; written so that NaN
     # takes it too
     bound = _SQUARED_MAX * b2 if b2 >= _TINY else -np.inf
-    if not lam.max() <= bound:
-        squared = ~(lam <= bound).all(axis=-1)
+    squared = ~(lam <= bound).all(axis=-1)
+    if squared.any():
         u, s, vt = np.linalg.svd(a[squared], full_matrices=False)
         shrunk = np.maximum(s - beta, 0.0)
         m[squared] = (u * shrunk[..., None, :]) @ vt
@@ -125,42 +117,17 @@ def ridge_solve(b, a):
     return np.linalg.solve(a, b.T).T
 
 
-def data_term(prefix, suffix):
-    """Delta_n(x) @ Delta_2(subchain_n), from the n-th sides of ring.data_sweep.
-
-    One side has x contracted into it, and the one contraction left, over
-    the merged index and r_1, is against the other side's chain; m is
-    ring.split_mode(x.shape):
-      n <= m: suffix U_n (I_n, A, R_1, R_{n+1}) against the prefix chain
-          (R_1, A, R_n);
-      n > m: prefix V_n (B, I_n, R_1, R_n) against the suffix chain
-          (R_{n+1}, B, R_1).
-    Each is one product of the two sides laid out as matrices, the product
-    np.tensordot forms, so the bits are tensordot's.
-    """
-    if suffix.ndim == 4:
-        i, a, r, q = suffix.shape
-        t = np.dot(suffix.transpose(0, 3, 1, 2).reshape(i * q, a * r),
-                   prefix.transpose(1, 0, 2).reshape(a * r, -1))  # [(i_n, r_{n+1}), r_n]
-        # columns of Delta_2 run over (r_n, r_{n+1}), r_n fastest
-        return t.reshape(i, -1)
-    b, i, r, p = prefix.shape
-    t = np.dot(prefix.transpose(1, 3, 0, 2).reshape(i * p, b * r),
-               suffix.transpose(1, 2, 0).reshape(b * r, -1))  # [(i_n, r_n), r_{n+1}]
-    return t.reshape(i, p, -1).transpose(0, 2, 1).reshape(i, -1)
-
-
 def _solve_spd(b, a):
     # X A = B for A = lam * Q Q^T + k * mu * I, which a solver loop (lam > 0,
     # mu >= 1) builds positive definite, so there is nothing to check
     return np.linalg.solve(a, b.T).T
 
 
-def _core_update(chains, gram, penalty, shape, lam, mu, k, solve):
+def _core_update(data, gram, penalty, shape, lam, mu, k, solve):
     # the one core-update formula: G2 (lam * gram + k * mu * I) =
-    # lam * data_term + penalty, solved for G2 = Gamma_2(G_n) and folded
-    # into core n's shape (R_n, I_n, R_{n+1})
-    b = lam * data_term(*chains) + penalty
+    # lam * data + penalty, solved for G2 = Gamma_2(G_n) and folded into
+    # core n's shape (R_n, I_n, R_{n+1})
+    b = lam * data + penalty
     a = lam * gram
     a.flat[::len(a) + 1] += k * mu
     p, i, q = shape
@@ -169,10 +136,8 @@ def _core_update(chains, gram, penalty, shape, lam, mu, k, solve):
 
 def _update(x, cores, n, lam, mu, aux, duals, k, sides):
     if sides is not None:
-        # a sweep's sides: the loop built every shape they hold
-        chains, products, penalty = sides
-        return _core_update(chains, transfer_gram(*products), penalty, cores[n - 1].shape,
-                            lam, mu, k, _solve_spd)
+        # a sweep's terms: the loop built every shape they hold
+        return _core_update(*sides, cores[n - 1].shape, lam, mu, k, _solve_spd)
     # a caller's own state: the cores and x are checked, and aux must have
     # shape (3,) + core n's and duals (k,) + core n's, so none broadcasts
     cs, x = _checked(cores, x)
@@ -180,8 +145,9 @@ def _update(x, cores, n, lam, mu, aux, duals, k, sides):
     shape = cs[n - 1].shape
     if np.shape(aux) != (3,) + shape or np.shape(duals) != (k,) + shape:
         raise ValueError(f"core {n} takes aux of shape {(3,) + shape}, {k} multipliers of shape {shape}")
+    data = delta_unfold(x, n) @ delta_unfold(subchain(cs, n), 2)
     penalty = gamma_unfold(mu * np.sum(aux, 0) + np.sum(duals, 0), 2)
-    return _core_update(data_sides(x, cs, n), subchain_gram(cs, n), penalty, shape, lam, mu, k, ridge_solve)
+    return _core_update(data, subchain_gram(cs, n), penalty, shape, lam, mu, k, ridge_solve)
 
 
 def core_update_olrf(x, cores, aux, duals, n, lam, mu, sides=None):
@@ -190,14 +156,13 @@ def core_update_olrf(x, cores, aux, duals, n, lam, mu, sides=None):
     aux and duals are the three auxiliary tensors M_ni and multipliers Y_ni,
     each shaped like core n; x, the cores, aux and duals are checked, and
     the system is solved by ridge_solve, which rejects one that is not
-    finite, symmetric and positive definite. sides, when given, is the n-th
-    sides of a ring.data_sweep over x and the cores and of a ring.sweep over
-    their transfer matrices, the pairs data_sides(x, cores, n) and
-    subchain_gram(cores, n) build, and the penalty term
-    gamma_unfold(mu * sum_i aux_i + sum_j Y_j, 2), as a solver loop holds
-    them: nothing is checked, x, aux and duals are not read, and the system,
-    positive definite for lam >= 0 and mu > 0, goes straight to
-    np.linalg.solve.
+    finite, symmetric and positive definite. sides, when given, is
+    (data, gram, penalty) as a solver loop holds them: the data term
+    Delta_n(x) @ Delta_2(subchain_n) and the subchain Gram that a
+    ring.data_sweep over x and the cores yields for core n, and the penalty
+    term gamma_unfold(mu * sum_i aux_i + sum_j Y_j, 2). Then nothing is
+    checked, x, aux and duals are not read, and the system, positive
+    definite for lam >= 0 and mu > 0, goes straight to np.linalg.solve.
     """
     return _update(x, cores, n, lam, mu, aux, duals, 3, sides)
 
@@ -207,6 +172,7 @@ def core_update_llrf(x, cores, latent, dual, n, lam, mu, sides=None):
 
     latent holds the three latent tensors W_ni; dual is the single
     multiplier Y_n for the constraint sum_i W_ni = G_n. sides is the
-    sweep's pairs and the penalty term, as for core_update_olrf.
+    sweep's data term and Gram and the penalty term, as for
+    core_update_olrf.
     """
     return _update(x, cores, n, lam, mu, latent, (dual,), 1, sides)

@@ -4,11 +4,12 @@ A TR representation of an order-N tensor is a cyclic chain of order-3 cores
 G_n of shape (R_n, I_n, R_{n+1}) with R_{N+1} = R_1. Entry (i_1,...,i_N) is
 Trace(G_1(i_1) @ ... @ G_N(i_N)) where G_n(i) = cores[n][:, i, :].
 
-A Gauss-Seidel sweep over the cores reads, for each core, the sides beside
-it: data_sweep splits the ring at the mode split_mode picks, contracts x
-once per half and carries the partial contractions and chains of the data
-terms through the sweep; sweep carries the transfer products of the Grams.
-Each states which cores its sides cover.
+A Gauss-Seidel sweep over the cores gives each core update the two terms
+it reads from the rest of the ring: data_sweep splits the ring at the mode
+split_mode picks, contracts x once per half and carries the partial
+contractions and chains of the data terms through the sweep, and it
+carries the transfer matrices of the cores and, through sweep, the
+transfer products of the Grams. subchain_gram is the Gram alone.
 """
 
 import functools
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import delta_unfold, gamma_unfold
+from .tensors import _check_mode, delta_unfold, gamma_unfold
 
 
 @dataclass(frozen=True)
@@ -144,24 +145,25 @@ def _suffixes(items, combine, empty, first):
     return out
 
 
-def sweep(items, combine, empty):
-    """Sides (prefix, suffix) of items n = 1..N, as a Gauss-Seidel sweep reads them.
+def sweep(items):
+    """Sides (prefix, suffix) of transfer matrices n = 1..N, as a Gauss-Seidel sweep reads them.
 
-    The prefix is items 1..n-1 combined left to right, the suffix items
-    n+1..N combined right to left. A side with no items is empty, the
-    identity; its first item replaces empty rather than being combined with
+    The prefix is items 1..n-1 multiplied left to right, the suffix items
+    n+1..N multiplied right to left. A side with no items is the identity
+    eye(R_1^2); its first item replaces it rather than being multiplied by
     it. Every suffix is built before the first yield; after each yield the
     prefix is extended with items[n-1] as the caller then holds it, so a
     sweep that replaces item n after its update yields the sides of the
     items as they now are.
     """
     n_items = len(items)
-    suffixes = _suffixes(items, combine, empty, 1)
+    empty = np.eye(len(items[0]))
+    suffixes = _suffixes(items, np.matmul, empty, 1)
     prefix = empty
     for n in range(1, n_items + 1):
         yield prefix, suffixes[n_items - n]
         if n < n_items:
-            prefix = items[0] if n == 1 else combine(prefix, items[n - 1])
+            prefix = items[0] if n == 1 else prefix @ items[n - 1]
 
 
 def split_mode(shape):
@@ -173,35 +175,63 @@ def split_mode(shape):
     return min(range(1, len(shape)), key=lambda m: max(math.prod(shape[:m]), math.prod(shape[m:])))
 
 
-def data_sweep(x, cores, merge=_merge, suffixes=None):
-    """Sides (prefix, suffix) of the data terms of cores n = 1..N, sweep after sweep, as a Gauss-Seidel solver reads them.
+def _data_term(prefix, suffix):
+    # Delta_n(x) @ Delta_2(subchain_n) from the n-th sides of data_sweep:
+    # one side has x contracted into it, and the one contraction left, over
+    # the merged index and r_1, is one product of the two sides laid out as
+    # matrices, the product np.tensordot forms
+    if suffix.ndim == 4:
+        # n <= m: U_n (I_n, A, R_1, R_{n+1}) against the prefix chain (R_1, A, R_n)
+        i, a, r, q = suffix.shape
+        t = np.dot(suffix.transpose(0, 3, 1, 2).reshape(i * q, a * r),
+                   prefix.transpose(1, 0, 2).reshape(a * r, -1))  # [(i_n, r_{n+1}), r_n]
+        # columns of Delta_2 run over (r_n, r_{n+1}), r_n fastest
+        return t.reshape(i, -1)
+    # n > m: V_n (B, I_n, R_1, R_n) against the suffix chain (R_{n+1}, B, R_1)
+    b, i, r, p = prefix.shape
+    t = np.dot(prefix.transpose(1, 3, 0, 2).reshape(i * p, b * r),
+               suffix.transpose(1, 2, 0).reshape(b * r, -1))  # [(i_n, r_n), r_{n+1}]
+    return t.reshape(i, p, -1).transpose(0, 2, 1).reshape(i, -1)
 
-    The ring is split at m = split_mode(x.shape), and x, read first index
-    fastest as a (I_1...I_m, I_{m+1}...I_N) matrix, is contracted in one
-    gemm per half; every other step touches only chains and partial
-    contractions of a half's size:
-      n <= m: prefix is the chain of cores 1..n-1, (R_1, A, R_n), and
-          suffix U_n, x against the cores n+1..N, (I_n, A, R_1, R_{n+1});
-          U_m is x against the chain of cores m+1..N, and U_{n-1} is U_n
-          against core n, all made before the sweep's first yield;
-      n > m: prefix is V_n, x against the cores 1..n-1, (B, I_n, R_1, R_n),
-          and suffix the chain of cores n+1..N, (R_{n+1}, B, R_1); V_{m+1}
-          is x against the chain of cores 1..m, and V_{n+1} is V_n against
-          core n.
-    A chain with no cores is identity_chain(R_1); merge combines two chains.
-    A partial is carried past a core in one product of the two laid out as
-    matrices, the product np.tensordot forms, so the bits are tensordot's.
-    suffixes are the chains of the last k cores, k = 0..N-m, right to left;
-    by default they are built from the cores. After each yield the sides
-    are extended with cores[n-1] as the caller then holds it, so a sweep
-    that replaces core n after its update yields the sides of the cores as
-    they now are. Resumed once more after core N, the sweep yields the two
-    halves of the ring as the caller now holds it: the chain of cores 1..m
-    and the suffixes of the next sweep, whose last entry is the chain of
-    cores m+1..N. Resumed after that, it sweeps again from those suffixes
-    and x as the caller then holds it. What the sweeps derive from the
-    extents and ranks alone (m and the layouts of every product) is derived
-    once, before the first sweep.
+
+def data_sweep(x, cores, merge=_merge):
+    """What the update of each core n = 1..N reads from the rest of the ring, sweep after sweep, as a Gauss-Seidel solver reads it.
+
+    For core n it yields the data term Delta_n(x) @ Delta_2(subchain_n) and
+    the subchain Gram Delta_2(subchain_n)^T Delta_2(subchain_n). After each
+    yield the sweep reads cores[n-1] as the caller then holds it, so a
+    sweep that replaces core n after its update yields the terms of the
+    cores as they now are.
+
+    The data terms: the ring is split at m = split_mode(x.shape), and x,
+    read first index fastest as a (I_1...I_m, I_{m+1}...I_N) matrix, is
+    contracted in one gemm per half; every other step touches only chains
+    and partial contractions of a half's size. The sides of core n are
+      n <= m: the chain of cores 1..n-1, (R_1, A, R_n), and U_n, x against
+          the cores n+1..N, (I_n, A, R_1, R_{n+1}); U_m is x against the
+          chain of cores m+1..N, and U_{n-1} is U_n against core n, all
+          made before the sweep's first yield;
+      n > m: V_n, x against the cores 1..n-1, (B, I_n, R_1, R_n), and the
+          chain of cores n+1..N, (R_{n+1}, B, R_1); V_{m+1} is x against
+          the chain of cores 1..m, and V_{n+1} is V_n against core n;
+    and the data term is one product of the two. A chain with no cores is
+    identity_chain(R_1); merge combines two chains. A partial is carried
+    past a core, and a data term formed, in one product of the two laid
+    out as matrices, the product np.tensordot forms, so the bits are
+    tensordot's.
+
+    The Grams: the sweep holds the transfer matrix of every core, made
+    once per core before the first sweep and once each time the caller
+    replaces a core, and the Gram of core n is transfer_gram of the n-th
+    sides of a sweep over them.
+
+    Resumed once more after core N, the sweep yields the two halves of the
+    ring as the caller now holds it: the chain of cores 1..m and the suffix
+    chains of the next sweep, whose last entry is the chain of cores
+    m+1..N. Resumed after that, it sweeps again from those suffixes and x
+    as the caller then holds it. What the sweeps derive from the extents
+    and ranks alone (m and the layouts of every product) is derived once,
+    before the first sweep.
     """
     x = np.asarray(x)
     shape = x.shape
@@ -220,9 +250,10 @@ def data_sweep(x, cores, merge=_merge, suffixes=None):
         b, i, p, q = math.prod(shape[n:]), shape[n - 1], ranks[n - 1], ranks[n]
         steps[n] = (b * r, i * p), (i * p, q), (b // shape[n], shape[n], r, q)
     empty = identity_chain(r)
-    if suffixes is None:
-        suffixes = _suffixes(cores, merge, empty, m)
+    suffixes = _suffixes(cores, merge, empty, m)
+    trans = [transfer(c) for c in cores]
     while True:
+        products = sweep(trans)
         x_half = x.reshape(rows, cols, order="F")
         # U_m, then U_{m-1}..U_1 from the cores as they are before the first yield
         u = x_half @ suffixes[-1].transpose(1, 2, 0).reshape(cols, -1)
@@ -234,27 +265,22 @@ def data_sweep(x, cores, merge=_merge, suffixes=None):
             partials.append(u.reshape(out))
         prefix = empty
         for n in range(1, m + 1):
-            yield prefix, partials.pop()
+            yield _data_term(prefix, partials.pop()), transfer_gram(*next(products))
+            trans[n - 1] = transfer(cores[n - 1])
             prefix = cores[0] if n == 1 else merge(prefix, cores[n - 1])
         v = x_half.T @ prefix.transpose(1, 0, 2).reshape(rows, -1)
         v = v.reshape(-1, shape[m], r, ranks[m])
         for n in range(m + 1, order + 1):
-            yield v, suffixes[order - n]
+            yield _data_term(v, suffixes[order - n]), transfer_gram(*next(products))
+            trans[n - 1] = transfer(cores[n - 1])
             if n < order:
                 left, right, out = steps[n]
                 v = np.dot(v.transpose(0, 2, 1, 3).reshape(left),  # [(k, r_1), (i_n, r_n)]
                            cores[n - 1].transpose(1, 0, 2).reshape(right)).reshape(out)
-        # the partials go before the halves are read
-        x_half = u = v = None
+        # the partials and the transfer products go before the halves are read
+        x_half = u = v = products = None
         suffixes = _suffixes(cores, merge, empty, m)
         yield prefix, suffixes
-
-
-def _nth(sides, n, order):
-    # the n-th sides of a sweep over a ring of the given order
-    if not 1 <= n <= order:
-        raise ValueError(f"mode {n} out of range for order {order}")
-    return next(itertools.islice(sides, n - 1, None))
 
 
 def reconstruct(cores):
@@ -291,13 +317,6 @@ def subchain(cores, n):
     return acc
 
 
-def data_sides(x, cores, n):
-    """The n-th sides of a data_sweep over x and the cores: what the data
-    term of core n reads."""
-    cs = _core_list(cores)
-    return _nth(data_sweep(x, cs), n, len(cs))
-
-
 def transfer(core):
     """Transfer matrix sum_i G(i) kron G(i) of a core, (R_n^2, R_{n+1}^2).
 
@@ -332,11 +351,11 @@ def subchain_gram(cores, n):
 
     Computed through the per-core transfer matrices without materializing
     the subchain, so the cost is polynomial in the ranks: transfer_gram of
-    the n-th sides of a sweep over the transfers, the products a solver
-    sweep holds, so a core update given them gets the same Gram bit for bit.
+    the n-th sides of a sweep over the transfers.
     """
     cs = _core_list(cores)
-    return transfer_gram(*_nth(sweep([transfer(c) for c in cs], np.matmul, np.eye(cs[0].shape[0] ** 2)), n, len(cs)))
+    _check_mode(len(cs), n)
+    return transfer_gram(*next(itertools.islice(sweep([transfer(c) for c in cs]), n - 1, None)))
 
 
 def _checked(cores, x):

@@ -39,24 +39,24 @@ group before the sweep. The SVT targets are taken in order i = 1, 2, 3,
 each after aux[i - 1] is written, so LLRF stays Gauss-Seidel over the
 three latent tensors of a core; OLRF's targets do not read aux.
 
-The core sweep reads the sides of each core from two generators: a
-ring.data_sweep over x and the cores, which splits the ring in two halves
-at the mode ring.split_mode(x.shape) picks and reads x in two gemms, one
-per half, and a ring.sweep over the cores' transfer matrices, which are
-computed once per core update and carried into the next sweep. Resumed
-after the last core, the data sweep gives the two halves of the new ring:
-the chain of the first half's cores and the suffix chains of the second
-half. The reconstruction contracts the two, as ring.reconstruct does, and
-the next sweep starts from those suffix chains, so each chain is built once
-per iteration. x stays first-index-fastest (Fortran order), so the sweep
-reads it without a copy.
+The core sweep reads what each core update needs from the rest of the ring,
+its data term and its subchain Gram, from one generator, a ring.data_sweep
+over x and the cores. It splits the ring in two halves at the mode
+ring.split_mode(x.shape) picks and reads x in two gemms, one per half, and
+it carries the cores' transfer matrices, one made per core update, into
+the next sweep. Resumed after the last core, it gives the two halves of
+the new ring: the chain of the first half's cores and the suffix chains of
+the second half. The reconstruction contracts the two, as ring.reconstruct
+does, and the next sweep starts from those suffix chains, so each chain is
+built once per iteration. x stays first-index-fastest (Fortran order), so
+the sweep reads it without a copy.
 
 One data sweep serves the whole solve, so what it derives from the shapes
 alone (the split and the layouts of its products) is derived once per
-solve, as are the slot map and the empty transfer product. The loop builds
-every shape the core updates read, and their systems are positive definite
-by construction, so a core update given the sweep's sides checks nothing
-and solves its system with one np.linalg.solve (trtc.prox).
+solve, as is the slot map. The loop builds every shape the core updates
+read, and their systems are positive definite by construction, so a core
+update given the sweep's terms checks nothing and solves its system with
+one np.linalg.solve (trtc.prox).
 
 The refill writes the reconstruction into the missing entries of x in
 place, through x's flat first-index-fastest view and the positions of the
@@ -74,7 +74,7 @@ from typing import Optional
 import numpy as np
 
 from .tensors import gamma_unfold, gamma_fold
-from .ring import TRCores, TRRank, _merge, _trace_contract, data_sweep, sweep, transfer
+from .ring import TRCores, TRRank, _merge, _trace_contract, data_sweep
 from .prox import svt, core_update_olrf, core_update_llrf
 
 # penalty schedule, the same for every solve: mu starts at _MU0 and grows
@@ -285,14 +285,18 @@ def _solve(name, observed, mask, cfg, truth=None):
     missing = np.flatnonzero(~mask.ravel(order="F"))
     # x's missing entries, which the refill alone writes: zero at the start
     x_missing = np.zeros(len(missing))
+    if truth is not None:
+        # the entries rse scores (_scored), gathered once in the order the
+        # loop holds x's: the missing entries, or every entry when none is
+        truth_flat = truth.reshape(-1, order="F")
+        truth_scored = truth_flat[missing] if len(missing) else truth_flat
+        truth_norm = np.linalg.norm(truth_scored)
     order = len(cores)
-    trans = [transfer(g) for g in cores]
     # the sweep plan, derived once from the shapes: one data sweep for the
-    # whole solve, which builds its first suffix chains from the initial
-    # cores, the empty transfer product, and core n's slot, slice j of the
+    # whole solve, which builds its first suffix chains and transfer
+    # matrices from the initial cores, and core n's slot, slice j of the
     # stacks of group state.groups[gi]
-    chains = data_sweep(x, cores, _merge)
-    empty = np.eye(cores[0].shape[0] ** 2)
+    terms = data_sweep(x, cores, _merge)
     slots = {n: (gi, j) for gi, grp in enumerate(state.groups) for j, n in enumerate(grp.members)}
 
     rel_hist, rse_hist, cons_hist, iter_times, mu_hist = [], [], [], [], []
@@ -305,7 +309,6 @@ def _solve(name, observed, mask, cfg, truth=None):
         try:
             # drop the last iteration's reconstruction before the sweep
             z = None
-            products = sweep(trans, np.matmul, empty)
             # the penalty terms of the core updates, which the sweep leaves
             # unchanged, once per core shape
             penalties = [
@@ -315,18 +318,15 @@ def _solve(name, observed, mask, cfg, truth=None):
             for n in range(1, order + 1):
                 gi, j = slots[n - 1]
                 grp = state.groups[gi]
-                g = model.core_update(
+                cores[n - 1] = model.core_update(
                     x, cores, grp.aux[:, j], grp.multipliers[:, j], n, cfg.lam, mu,
-                    (next(chains), next(products), penalties[gi][j]),
+                    (*next(terms), penalties[gi][j]),
                 )
-                cores[n - 1] = g
-                trans[n - 1] = transfer(g)
             # resumed after core N, the data sweep gives the two halves of
-            # the new ring and drops its partial contractions; resumed once
-            # more, it starts the next sweep from these suffixes. The
-            # transfer sweep is dropped, with its products, before the refill
-            prefix, suffixes = next(chains)
-            products = None
+            # the new ring and drops its partial contractions and transfer
+            # products; resumed once more, it starts the next sweep from
+            # these suffixes
+            prefix, suffixes = next(terms)
 
             # the prox half runs once per core shape, on the stacked cores
             stacks = [np.stack([cores[n] for n in grp.members]) for grp in state.groups]
@@ -362,7 +362,8 @@ def _solve(name, observed, mask, cfg, truth=None):
         rel_hist.append(rel)
         cons_hist.append(float(cons))
         if truth is not None:
-            rse_hist.append(rse(x, truth, "missing", mask))
+            scored = x_missing if len(missing) else x_flat
+            rse_hist.append(float(np.linalg.norm(scored - truth_scored) / truth_norm))
         iter_times.append(time.perf_counter() - t_iter)
 
         if not np.isfinite(rel) or rel > 1e3:

@@ -10,10 +10,10 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 from trtc import read_tensor, write_tensor, TensorFileError  # noqa: E402
 from trtc.tensors import gamma_unfold, gamma_fold, delta_unfold  # noqa: E402
 from trtc.ring import (  # noqa: E402
-    _merge, _trace_contract, data_sides, data_sweep, element, identity_chain, reconstruct,
-    split_mode, subchain, subchain_gram, sweep, transfer, transfer_gram,
+    _merge, _trace_contract, data_sweep, element, identity_chain, reconstruct,
+    split_mode, subchain, subchain_gram,
 )
-from trtc.prox import core_update_llrf, core_update_olrf, data_term, svt  # noqa: E402
+from trtc.prox import core_update_llrf, core_update_olrf, svt  # noqa: E402
 
 # orders 1-5, extents 1-4; any float64, NaN and infinities included
 ANY_TENSOR = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=5, min_side=1, max_side=4))
@@ -182,6 +182,21 @@ def test_merge_with_identity_chain_returns_the_core(cores):
         assert same_bits(_merge(c, identity_chain(c.shape[2])), c + 0.0)
 
 
+def dense_terms(x, cores, n):
+    # the data term and the Gram of core n from the dense unfoldings, each
+    # with the scale of its rounding error: the data term's entries can
+    # cancel, so its error is bounded by the product of its factors' norms
+    dx, d2 = delta_unfold(x, n), delta_unfold(subchain(cores, n), 2)
+    gram = d2.T @ d2
+    return (dx @ d2, np.linalg.norm(dx) * np.linalg.norm(d2)), (gram, np.linalg.norm(gram))
+
+
+def assert_close(got, want, scale=None):
+    # within 1e-12 of want, relative to want's norm or to the scale given
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-12 * (np.linalg.norm(want) if scale is None else scale)
+
+
 # (2, 2, 3, 2) splits at m = 2, so both halves have a core with chains on
 # both sides; (3, 2, 4) splits at m = N - 1 and (4, 2, 2) at m = 1, so one
 # half is a single core; order 2 has identity chains at both ends
@@ -191,33 +206,25 @@ def test_merge_with_identity_chain_returns_the_core(cores):
 @example(((3, 2), (2, 3), 2))
 @given(ring_problems())
 def test_data_term_matches_dense_reference(problem):
+    # a Gauss-Seidel sweep that replaces each core after its terms yields,
+    # for core n, the data term and Gram of the cores as they now are, for
+    # x C-ordered, Fortran-ordered and strided. Resumed after the last core,
+    # it yields the halves that reconstruct contracts; resumed once more, it
+    # sweeps again over x as it now is, refilled in place as a solver does
     cores, x = ring_instance(problem)
-    extents = problem[0]
-    order = len(cores)
-    m = split_mode(extents)
-    r = cores[0].shape[0]
-    empty = identity_chain(r)
-    for n in range(1, order + 1):
-        want = delta_unfold(x, n) @ delta_unfold(subchain(cores, n), 2)
-        a, b = int(np.prod(extents[:n - 1])), int(np.prod(extents[n:]))
-        for xl in layouts(x):
-            prefix, suffix = data_sides(xl, cores, n)
-            # the split: within core n's half, x is contracted into the side
-            # away from the split, and the other side is a chain of cores
-            # on n's side of it; a side with no cores is the identity chain
-            if n <= m:
-                assert prefix.shape == (r, a, cores[n - 1].shape[0])
-                assert suffix.shape == (extents[n - 1], a, r, cores[n - 1].shape[2])
-                if n == 1:
-                    assert same_bits(prefix, empty)
-            else:
-                assert prefix.shape == (b, extents[n - 1], r, cores[n - 1].shape[0])
-                assert suffix.shape == (cores[n - 1].shape[2], b, r)
-                if n == order:
-                    assert same_bits(suffix, empty)
-            got = data_term(prefix, suffix)
-            assert got.shape == want.shape
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    rng = np.random.default_rng(problem[2] + 1)
+    for xl in layouts(x):
+        cs = list(cores)
+        terms = data_sweep(xl, cs)
+        for _ in range(2):
+            for n in range(1, len(cs) + 1):
+                for got, (want, scale) in zip(next(terms), dense_terms(xl, cs, n)):
+                    assert_close(got, want, scale)
+                cs[n - 1] = rng.standard_normal(cs[n - 1].shape)
+            prefix, suffixes = next(terms)
+            z = _trace_contract(prefix, suffixes[-1]).reshape(problem[0], order="F")
+            assert same_bits(z, reconstruct(cs))
+            xl[...] = rng.standard_normal(x.shape)
 
 
 @example(((2, 2, 3, 2), (2, 3, 1, 2), 0))
@@ -262,43 +269,24 @@ def group_penalty(aux, duals, mu):
 @example(((2, 2, 2, 50), (2, 3, 2, 2), 5))
 @given(ring_problems())
 def test_core_updates_without_chains_equal_the_solver_chains(problem):
-    # a sweep that replaces each core after its update yields, for core n,
-    # the sides data_sides and subchain_gram build afresh from x and the
-    # cores as they now are; a core update with those sides equals one
-    # without. Resumed after the last core, it yields the halves that
-    # reconstruct contracts and the suffixes a fresh sweep would build
+    # a core update given the terms a Gauss-Seidel data sweep yields, as the
+    # solver loop makes it, agrees with one that builds its system from the
+    # dense unfoldings of x and the cores as they now are
     cores, x = ring_instance(problem)
     rng = np.random.default_rng(problem[2] + 1)
-    r = cores[0].shape[0]
-    trans = [transfer(c) for c in cores]
-    chains = data_sweep(x, cores)
-    products = sweep(trans, np.matmul, np.eye(r * r))
+    terms = data_sweep(x, cores)
     for n in range(1, len(cores) + 1):
-        sides = next(chains), next(products)
-        assert all(same_bits(a, b) for a, b in zip(sides[0], data_sides(x, cores, n)))
-        assert same_bits(transfer_gram(*sides[1]), subchain_gram(cores, n))
+        data, gram = next(terms)
         core = cores[n - 1]
         aux = [rng.standard_normal(core.shape) for _ in range(3)]
         duals = [rng.standard_normal(core.shape) for _ in range(3)]
-        np.testing.assert_array_equal(
-            core_update_llrf(x, cores, aux, duals[0], n, 10.0, 2.0),
-            core_update_llrf(x, cores, aux, duals[0], n, 10.0, 2.0,
-                             sides=sides + (group_penalty(aux, duals[:1], 2.0),)),
-        )
-        new = core_update_olrf(x, cores, aux, duals, n, 10.0, 2.0)
-        np.testing.assert_array_equal(new, core_update_olrf(
-            x, cores, aux, duals, n, 10.0, 2.0, sides=sides + (group_penalty(aux, duals, 2.0),)))
+        assert_close(core_update_llrf(x, cores, aux, duals[0], n, 10.0, 2.0,
+                                      sides=(data, gram, group_penalty(aux, duals[:1], 2.0))),
+                     core_update_llrf(x, cores, aux, duals[0], n, 10.0, 2.0))
+        new = core_update_olrf(x, cores, aux, duals, n, 10.0, 2.0,
+                               sides=(data, gram, group_penalty(aux, duals, 2.0)))
+        assert_close(new, core_update_olrf(x, cores, aux, duals, n, 10.0, 2.0))
         cores[n - 1] = new
-        trans[n - 1] = transfer(new)
-    prefix, suffixes = next(chains)
-    z = _trace_contract(prefix, suffixes[-1]).reshape(problem[0], order="F")
-    assert same_bits(z, reconstruct(cores))
-    fresh = next(data_sweep(x, cores, suffixes=suffixes))
-    assert all(same_bits(a, b) for a, b in zip(fresh, data_sides(x, cores, 1)))
-    # resumed once more, the sweep starts the next from those suffixes and
-    # x as it now is, refilled in place as a solver does
-    x[...] = rng.standard_normal(x.shape)
-    assert all(same_bits(a, b) for a, b in zip(next(chains), data_sides(x, cores, 1)))
 
 
 def tensordot_sweep(x, cores):
@@ -330,7 +318,7 @@ def tensordot_sweep(x, cores):
 
 
 def tensordot_data_term(prefix, suffix):
-    # data_term with its one contraction written as np.tensordot
+    # the data term of core n with its one contraction written as np.tensordot
     if suffix.ndim == 4:
         t = np.tensordot(suffix, prefix, axes=([1, 2], [1, 0]))  # [i_n, r_{n+1}, r_n]
     else:
@@ -345,17 +333,15 @@ def tensordot_data_term(prefix, suffix):
 @example(((2, 2, 2, 50), (2, 3, 2, 2), 5))
 @given(ring_problems())
 def test_sweep_products_equal_their_tensordot_form(problem):
-    # every side of a Gauss-Seidel data sweep and every data term on them,
-    # bit for bit, for x C-ordered, Fortran-ordered and strided
+    # every data term of a Gauss-Seidel data sweep, bit for bit, for x
+    # C-ordered, Fortran-ordered and strided
     cores, x = ring_instance(problem)
     rng = np.random.default_rng(problem[2] + 2)
     for xl in layouts(x):
         got_cores, want_cores = list(cores), list(cores)
         got, want = data_sweep(xl, got_cores), tensordot_sweep(xl, want_cores)
         for n in range(1, len(cores) + 1):
-            sides, reference = next(got), next(want)
-            assert all(same_bits(a, b) for a, b in zip(sides, reference))
-            assert same_bits(data_term(*sides), tensordot_data_term(*reference))
+            assert same_bits(next(got)[0], tensordot_data_term(*next(want)))
             got_cores[n - 1] = want_cores[n - 1] = rng.standard_normal(cores[n - 1].shape)
 
 

@@ -91,6 +91,13 @@ def test_svt_nan_entry_raises_linalg_error():
         svt(a, 0.1)
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (2, 0, 3), (0, 2, 3)])
+def test_svt_of_empty_input_is_empty(shape):
+    res = svt(np.zeros(shape), 1.0)
+    assert res.matrix.shape == shape
+    assert res.effective_rank == 0
+
+
 @pytest.mark.parametrize("ratio,through_svd", [(0.999e4, 0), (1.001e4, 1), (np.inf, 3)])
 def test_svt_takes_the_svd_only_beyond_the_squaring_guard(monkeypatch, ratio, through_svd):
     # the Gram route squares the singular values; a matrix whose s_max / beta

@@ -329,6 +329,27 @@ def test_divergence_guard_on_overflowing_data(name, solver):
             solver(obs, mask, SolverConfig(tr_rank=(2, 2, 2), max_iters=50, seed=0))
 
 
+@pytest.mark.parametrize("calm,iteration", [(None, 10), (9, 19)])
+@pytest.mark.parametrize("name,solver", SOLVERS)
+def test_divergence_guard_counts_consecutive_blowups(monkeypatch, name, solver, calm, iteration):
+    # the reconstruction is pushed 1e4 further from the last refill each
+    # iteration, so every relative change is above 1e3 and the tenth in a
+    # row stops the solve; one ordinary iteration, which repeats the last
+    # refill plus one, resets the count
+    truth, mask = synth_instance((4, 4, 4), (2, 2, 2), 0.3, 1)
+    contract = trtc.solvers._trace_contract
+    out = []
+
+    def growing(prefix, suffix):
+        k = len(out) + 1
+        out.append(out[-1] + 1.0 if k == calm else contract(prefix, suffix) + 1e4 * k)
+        return out[-1]
+
+    monkeypatch.setattr(trtc.solvers, "_trace_contract", growing)
+    with pytest.raises(DivergenceError, match=rf"above 1e3 for 10 consecutive iterations \(iteration {iteration}\)"):
+        solver(np.where(mask, truth, np.nan), mask, SolverConfig(tr_rank=(2, 2, 2), max_iters=50, seed=0))
+
+
 def test_order_six_instance_latent_tracks_overlapped():
     # harder deep-order instance; the latent model should stay within 2x
     truth, mask = synth_instance((4, 4, 4, 6, 6, 6), (4,) * 6, 0.7, 0, std=0.5)
@@ -459,8 +480,8 @@ def test_loop_kernel_budget(monkeypatch, name, solver):
 @pytest.mark.parametrize("name,solver", SOLVERS)
 def test_sweep_carries_transfer_matrices(monkeypatch, name, solver):
     # one transfer matrix per core before the first sweep and one per core
-    # update after it; the loop reads the Gram from the transfer products it
-    # holds and never rebuilds it through subchain_gram
+    # update after it; the data sweep reads the Gram from the transfer
+    # products it holds and never rebuilds it through subchain_gram
     shape = (3, 2, 3, 2, 3, 2)
     order, iters = len(shape), 2
     truth, mask = synth_instance(shape, (2,) * order, 0.5, 0, std=0.5)
@@ -472,8 +493,7 @@ def test_sweep_carries_transfer_matrices(monkeypatch, name, solver):
             return fn(*args)
         return wrapped
 
-    for module in (trtc.solvers, trtc.ring):
-        monkeypatch.setattr(module, "transfer", counted(transfers, module.transfer))
+    monkeypatch.setattr(trtc.ring, "transfer", counted(transfers, trtc.ring.transfer))
     for module in (trtc.prox, trtc.ring):
         monkeypatch.setattr(module, "subchain_gram", counted(grams, module.subchain_gram))
     rep = solver(np.where(mask, truth, np.nan), mask,
