@@ -29,8 +29,10 @@ mu >= 1), so that path is the bare formula: nothing is checked, the system
 goes to one np.linalg.solve and G2 is folded by a reshape. Without them,
 the entry points check the caller's x, cores, aux and multipliers, form the
 data term from the dense unfoldings of x and the subchain and the Gram
-with ring.subchain_gram, and solve through ridge_solve, which rejects a
-system that is not finite, symmetric and positive definite.
+with ring.subchain_gram, from the dense subchain too, and solve through
+ridge_solve, which rejects a system that is not finite, symmetric and
+positive definite. That path shares no Gram code with the sweep's transfer
+products, so it is an independent reference for the loop.
 """
 
 from dataclasses import dataclass
@@ -70,28 +72,34 @@ def svt(a, beta):
     eps * s_max / beta of accuracy relative to s_max, so a matrix with an
     eigenvalue above _SQUARED_MAX * beta^2 (s_max / beta > 1e4), or one not
     finite, is thresholded through its SVD instead, as is every matrix when
-    beta^2 underflows: beta = 0 gives the SVD product, the identity to
-    rounding, and NaN input raises LinAlgError. Each matrix takes its route
-    alone, so stacking changes no bit of its result.
+    beta^2 underflows or overflows: beta = 0 gives the SVD product, the
+    identity to rounding, a beta whose square overflows (inf among them)
+    gives zeros, and NaN input raises LinAlgError. Each matrix takes its
+    route alone, so stacking changes no bit of its result.
     """
     # written so that NaN fails the check
     if not beta >= 0:
         raise ValueError("beta must be nonnegative")
     a = np.asarray(a, dtype=float)
+    # where beta^2 underflows (beta = 0 among them) or overflows every
+    # matrix takes the SVD, so the Gram route runs at beta = 1 only to be
+    # overwritten, which keeps 0 / 0 and inf / inf out; a Python float
+    # overflows to inf without numpy's warning
+    beta = float(beta)
     b2 = beta * beta
+    in_range = _TINY <= b2 < np.inf
+    threshold, b2 = (beta, b2) if in_range else (1.0, 1.0)
     at = a.swapaxes(-1, -2)
     wide = a.shape[-2] <= a.shape[-1]
     lam, v = np.linalg.eigh(a @ at if wide else at @ a)
     # sqrt(beta * beta) is beta, so f is 0 exactly where lam <= beta^2
-    f = 1.0 - beta / np.sqrt(np.maximum(lam, max(b2, _TINY)))
+    f = 1.0 - threshold / np.sqrt(np.maximum(lam, b2))
     p = (v * f[..., None, :]) @ v.swapaxes(-1, -2)
     m = p @ a if wide else a @ p
     kept = lam > b2
     rank = np.count_nonzero(kept)
-    # where beta^2 underflows (beta = 0 among them) every matrix takes the
-    # SVD, so the floor above only keeps 0 / 0 out; written so that NaN
-    # takes it too
-    bound = _SQUARED_MAX * b2 if b2 >= _TINY else -np.inf
+    # written so that NaN takes the SVD too
+    bound = _SQUARED_MAX * b2 if in_range else -np.inf
     squared = ~(lam <= bound).all(axis=-1)
     if squared.any():
         u, s, vt = np.linalg.svd(a[squared], full_matrices=False)

@@ -7,13 +7,13 @@ Trace(G_1(i_1) @ ... @ G_N(i_N)) where G_n(i) = cores[n][:, i, :].
 A Gauss-Seidel sweep over the cores gives each core update the two terms
 it reads from the rest of the ring: data_sweep splits the ring at the mode
 split_mode picks, contracts x once per half and carries the partial
-contractions and chains of the data terms through the sweep, and it
-carries the transfer matrices of the cores and, through sweep, the
-transfer products of the Grams. subchain_gram is the Gram alone.
+contractions and chains of the data terms through the sweep, and in the
+same two loops the transfer matrices of the cores and the transfer
+products of the Grams. subchain_gram is the Gram alone, formed densely
+from the subchain as a reference.
 """
 
 import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -88,13 +88,9 @@ class TRCores:
         return self.cores[i]
 
 
-def _core_list(cores):
-    return [np.asarray(c) for c in cores]
-
-
 def element(cores, idx):
     """Entry at idx (0-based index tuple) as the trace of a slice product."""
-    cs = _core_list(cores)
+    cs = TRCores(cores).cores
     if len(idx) != len(cs):
         raise ValueError("index length does not match order")
     for i, c in zip(idx, cs):
@@ -143,27 +139,6 @@ def _suffixes(items, combine, empty, first):
     for item in reversed(items[first:]):
         out.append(item if len(out) == 1 else combine(item, out[-1]))
     return out
-
-
-def sweep(items):
-    """Sides (prefix, suffix) of transfer matrices n = 1..N, as a Gauss-Seidel sweep reads them.
-
-    The prefix is items 1..n-1 multiplied left to right, the suffix items
-    n+1..N multiplied right to left. A side with no items is the identity
-    eye(R_1^2); its first item replaces it rather than being multiplied by
-    it. Every suffix is built before the first yield; after each yield the
-    prefix is extended with items[n-1] as the caller then holds it, so a
-    sweep that replaces item n after its update yields the sides of the
-    items as they now are.
-    """
-    n_items = len(items)
-    empty = np.eye(len(items[0]))
-    suffixes = _suffixes(items, np.matmul, empty, 1)
-    prefix = empty
-    for n in range(1, n_items + 1):
-        yield prefix, suffixes[n_items - n]
-        if n < n_items:
-            prefix = items[0] if n == 1 else prefix @ items[n - 1]
 
 
 def split_mode(shape):
@@ -222,16 +197,19 @@ def data_sweep(x, cores, merge=_merge):
 
     The Grams: the sweep holds the transfer matrix of every core, made
     once per core before the first sweep and once each time the caller
-    replaces a core, and the Gram of core n is transfer_gram of the n-th
-    sides of a sweep over them.
+    replaces a core, and the Gram of core n is transfer_gram of two
+    products of them: the transfers of cores 1..n-1 multiplied left to
+    right, extended after each core update as the chain prefix is, and the
+    transfers of cores n+1..N multiplied right to left, every one made at
+    the start of the sweep. A product of no transfers is eye(R_1^2), and
+    its first transfer replaces it rather than being multiplied by it.
 
     Resumed once more after core N, the sweep yields the two halves of the
-    ring as the caller now holds it: the chain of cores 1..m and the suffix
-    chains of the next sweep, whose last entry is the chain of cores
-    m+1..N. Resumed after that, it sweeps again from those suffixes and x
-    as the caller then holds it. What the sweeps derive from the extents
-    and ranks alone (m and the layouts of every product) is derived once,
-    before the first sweep.
+    ring as the caller now holds it, (prefix, suffix): the chains of cores
+    1..m and m+1..N. Resumed after that, it sweeps again, from the suffix
+    chains it built with that suffix and x as the caller then holds it.
+    What the sweeps derive from the extents and ranks alone (m and the
+    layouts of every product) is derived once, before the first sweep.
     """
     x = np.asarray(x)
     shape = x.shape
@@ -252,8 +230,9 @@ def data_sweep(x, cores, merge=_merge):
     empty = identity_chain(r)
     suffixes = _suffixes(cores, merge, empty, m)
     trans = [transfer(c) for c in cores]
+    teye = np.eye(r * r)
     while True:
-        products = sweep(trans)
+        tsuffixes = _suffixes(trans, np.matmul, teye, 1)
         x_half = x.reshape(rows, cols, order="F")
         # U_m, then U_{m-1}..U_1 from the cores as they are before the first yield
         u = x_half @ suffixes[-1].transpose(1, 2, 0).reshape(cols, -1)
@@ -263,24 +242,26 @@ def data_sweep(x, cores, merge=_merge):
             u = np.dot(partials[-1].transpose(1, 2, 0, 3).reshape(left),  # [(j, r_1), (i_n, r_{n+1})]
                        cores[n - 1].transpose(1, 2, 0).reshape(right))
             partials.append(u.reshape(out))
-        prefix = empty
+        prefix, tprefix = empty, teye
         for n in range(1, m + 1):
-            yield _data_term(prefix, partials.pop()), transfer_gram(*next(products))
+            yield _data_term(prefix, partials.pop()), transfer_gram(tprefix, tsuffixes[order - n])
             trans[n - 1] = transfer(cores[n - 1])
             prefix = cores[0] if n == 1 else merge(prefix, cores[n - 1])
+            tprefix = trans[0] if n == 1 else tprefix @ trans[n - 1]
         v = x_half.T @ prefix.transpose(1, 0, 2).reshape(rows, -1)
         v = v.reshape(-1, shape[m], r, ranks[m])
         for n in range(m + 1, order + 1):
-            yield _data_term(v, suffixes[order - n]), transfer_gram(*next(products))
+            yield _data_term(v, suffixes[order - n]), transfer_gram(tprefix, tsuffixes[order - n])
             trans[n - 1] = transfer(cores[n - 1])
             if n < order:
+                tprefix = tprefix @ trans[n - 1]
                 left, right, out = steps[n]
                 v = np.dot(v.transpose(0, 2, 1, 3).reshape(left),  # [(k, r_1), (i_n, r_n)]
                            cores[n - 1].transpose(1, 0, 2).reshape(right)).reshape(out)
         # the partials and the transfer products go before the halves are read
-        x_half = u = v = products = None
+        x_half = u = v = tprefix = tsuffixes = None
         suffixes = _suffixes(cores, merge, empty, m)
-        yield prefix, suffixes
+        yield prefix, suffixes[-1]
 
 
 def reconstruct(cores):
@@ -305,10 +286,9 @@ def subchain(cores, n):
     merged index (i_{n+1},...,i_N,i_1,...,i_{n-1}) is the matrix product
     G_{n+1}(i_{n+1}) ... G_{n-1}(i_{n-1}), merged index first-fastest.
     """
-    cs = _core_list(cores)
+    cs = TRCores(cores).cores
     N = len(cs)
-    if not 1 <= n <= N:
-        raise ValueError(f"mode {n} out of range for order {N}")
+    _check_mode(N, n)
     c = n - 1
     order = [(c + k) % N for k in range(1, N)]
     acc = cs[order[0]]
@@ -347,15 +327,13 @@ def transfer_gram(prefix, suffix):
 
 
 def subchain_gram(cores, n):
-    """Gram matrix Q_n Q_n^T = Delta_2(C)^T Delta_2(C) of the mode-n subchain.
+    """Gram matrix Q_n Q_n^T = Delta_2(C)^T Delta_2(C) of the mode-n subchain C.
 
-    Computed through the per-core transfer matrices without materializing
-    the subchain, so the cost is polynomial in the ranks: transfer_gram of
-    the n-th sides of a sweep over the transfers.
+    The plain dense reference: it forms the subchain, and shares no code
+    with the transfer products a data_sweep reads the Gram from.
     """
-    cs = _core_list(cores)
-    _check_mode(len(cs), n)
-    return transfer_gram(*next(itertools.islice(sweep([transfer(c) for c in cs]), n - 1, None)))
+    q = delta_unfold(subchain(cores, n), 2)
+    return q.T @ q
 
 
 def _checked(cores, x):

@@ -45,11 +45,11 @@ over x and the cores. It splits the ring in two halves at the mode
 ring.split_mode(x.shape) picks and reads x in two gemms, one per half, and
 it carries the cores' transfer matrices, one made per core update, into
 the next sweep. Resumed after the last core, it gives the two halves of
-the new ring: the chain of the first half's cores and the suffix chains of
-the second half. The reconstruction contracts the two, as ring.reconstruct
-does, and the next sweep starts from those suffix chains, so each chain is
-built once per iteration. x stays first-index-fastest (Fortran order), so
-the sweep reads it without a copy.
+the new ring: the chains of the first and of the second half's cores.
+The reconstruction contracts the two, as ring.reconstruct does, and the
+next sweep starts from the suffix chains the second half was built with,
+so each chain is built once per iteration. x stays first-index-fastest
+(Fortran order), so the sweep reads it without a copy.
 
 One data sweep serves the whole solve, so what it derives from the shapes
 alone (the split and the layouts of its products) is derived once per
@@ -132,7 +132,6 @@ class State:
 @dataclass
 class SolveReport:
     iterations: int
-    converged: bool
     stop_reason: str  # "tol", "collapsed" (stopped at tol, not converged) or "max_iters"
     rel_change_history: list
     rse_history: Optional[list]
@@ -142,6 +141,10 @@ class SolveReport:
     iter_times: list = field(default_factory=list)
     consistency_history: list = field(default_factory=list)
     mu_history: list = field(default_factory=list)
+
+    @property
+    def converged(self):
+        return self.stop_reason == "tol"
 
 
 def _scored(mask):
@@ -325,8 +328,8 @@ def _solve(name, observed, mask, cfg, truth=None):
             # resumed after core N, the data sweep gives the two halves of
             # the new ring and drops its partial contractions and transfer
             # products; resumed once more, it starts the next sweep from
-            # these suffixes
-            prefix, suffixes = next(terms)
+            # the suffix chains it built with the second half
+            prefix, suffix = next(terms)
 
             # the prox half runs once per core shape, on the stacked cores
             stacks = [np.stack([cores[n] for n in grp.members]) for grp in state.groups]
@@ -340,7 +343,7 @@ def _solve(name, observed, mask, cfg, truth=None):
 
             # the halves contracted as in ring.reconstruct, so final_x off
             # the mask is reconstruct(final_cores) bit for bit
-            z = _trace_contract(prefix, suffixes[-1])
+            z = _trace_contract(prefix, suffix)
         except np.linalg.LinAlgError as e:
             raise DivergenceError(f"{name} iterate became non-finite at iteration {it}: {e}") from e
 
@@ -381,7 +384,6 @@ def _solve(name, observed, mask, cfg, truth=None):
 
     return SolveReport(
         iterations=it,
-        converged=stop_reason == "tol",
         stop_reason=stop_reason,
         rel_change_history=rel_hist,
         rse_history=rse_hist if truth is not None else None,

@@ -33,4 +33,4 @@ def test_ring_owns_the_sweep_layout():
     # the core update reads only the plain references, and the loop only the
     # terms the data sweep yields
     assert imported_names("prox", "ring") == {"_checked", "subchain", "subchain_gram"}
-    assert not imported_names("solvers", "ring") & {"sweep", "transfer"}
+    assert not imported_names("solvers", "ring") & {"transfer", "transfer_gram"}

@@ -1,5 +1,7 @@
 """Property tests: fold/unfold round trips, ring contractions and the .trtc file format."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from trtc import read_tensor, write_tensor, TensorFileError  # noqa: E402
 from trtc.tensors import gamma_unfold, gamma_fold, delta_unfold  # noqa: E402
 from trtc.ring import (  # noqa: E402
     _merge, _trace_contract, data_sweep, element, identity_chain, reconstruct,
-    split_mode, subchain, subchain_gram,
+    split_mode, subchain, subchain_gram, transfer, transfer_gram,
 )
 from trtc.prox import core_update_llrf, core_update_olrf, svt  # noqa: E402
 
@@ -221,8 +223,8 @@ def test_data_term_matches_dense_reference(problem):
                 for got, (want, scale) in zip(next(terms), dense_terms(xl, cs, n)):
                     assert_close(got, want, scale)
                 cs[n - 1] = rng.standard_normal(cs[n - 1].shape)
-            prefix, suffixes = next(terms)
-            z = _trace_contract(prefix, suffixes[-1]).reshape(problem[0], order="F")
+            prefix, suffix = next(terms)
+            z = _trace_contract(prefix, suffix).reshape(problem[0], order="F")
             assert same_bits(z, reconstruct(cs))
             xl[...] = rng.standard_normal(x.shape)
 
@@ -243,11 +245,16 @@ def test_reconstruct_matches_full_chain_contraction(problem):
 @example(((3, 2), (2, 3), 2))
 @given(ring_problems())
 def test_subchain_gram_matches_dense_reference(problem):
+    # the transfer route a data sweep reads its Grams from, written out per
+    # core: the transfers of cores 1..n-1 and n+1..N multiplied out, against
+    # the dense reference subchain_gram
     cores, _ = ring_instance(problem)
+    trans = [transfer(c) for c in cores]
     for n in range(1, len(cores) + 1):
-        d2 = delta_unfold(subchain(cores, n), 2)
-        want = d2.T @ d2
-        got = subchain_gram(cores, n)
+        prefix = functools.reduce(np.matmul, trans[:n - 1], np.eye(len(trans[0])))
+        suffix = functools.reduce(np.matmul, trans[n:], np.eye(trans[n - 1].shape[1]))
+        want = subchain_gram(cores, n)
+        got = transfer_gram(prefix, suffix)
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import trtc.prox
+import trtc.ring
 from trtc import (
     svt,
     core_update_olrf,
@@ -11,7 +12,7 @@ from trtc import (
     reconstruct,
 )
 from trtc.prox import ridge_solve
-from trtc.ring import subchain
+from trtc.ring import subchain, subchain_gram
 from trtc.tensors import gamma_unfold, delta_unfold
 
 
@@ -96,6 +97,22 @@ def test_svt_of_empty_input_is_empty(shape):
     res = svt(np.zeros(shape), 1.0)
     assert res.matrix.shape == shape
     assert res.effective_rank == 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta", [1e154, 1e155, 1e200, np.inf, np.float64(1e200)])
+def test_svt_beyond_the_largest_singular_value_is_zero_when_beta_squared_overflows(beta):
+    # beta^2 overflows from beta = 1e155 on: every matrix takes the SVD,
+    # which thresholds s_max = 3 to zero, with no warning
+    rng = np.random.default_rng(15)
+    a = rng.standard_normal((4, 6))
+    a *= 3.0 / np.linalg.svd(a, compute_uv=False)[0]
+    res = svt(a, beta)
+    np.testing.assert_array_equal(res.matrix, np.zeros((4, 6)))
+    assert res.effective_rank == 0
+    a[0, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        svt(a, beta)
 
 
 @pytest.mark.parametrize("ratio,through_svd", [(0.999e4, 0), (1.001e4, 1), (np.inf, 3)])
@@ -243,6 +260,25 @@ def test_core_update_of_caller_state_goes_through_ridge_solve(monkeypatch, model
     with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError, match="not finite"):
         update(bad, 10.0)
     assert len(systems) == 3
+
+
+def test_checked_core_update_shares_no_gram_code_with_the_sweep(monkeypatch):
+    # the dense reference the loop's core updates are checked against
+    # forms its Gram without the transfer products a data sweep reads
+    rng = np.random.default_rng(16)
+    cores, x, n = rand_instance(rng)
+    shape = cores[n - 1].shape
+    aux = [rng.standard_normal(shape) for _ in range(3)]
+    duals = [rng.standard_normal(shape) for _ in range(3)]
+
+    def forbidden(*args):
+        raise AssertionError("the dense reference reads a transfer product")
+
+    monkeypatch.setattr(trtc.ring, "transfer", forbidden)
+    monkeypatch.setattr(trtc.ring, "transfer_gram", forbidden)
+    assert core_update_olrf(x, cores, aux, duals, n, 10.0, 2.0).shape == shape
+    assert core_update_llrf(x, cores, aux, duals[0], n, 10.0, 2.0).shape == shape
+    assert subchain_gram(cores, n).shape == (shape[0] * shape[2],) * 2
 
 
 def normal_system(x, cores, n, lam, extra):

@@ -201,11 +201,26 @@ def test_chain_identity_order_two_rank_one_exact():
 
 
 def test_subchain_gram_matches_direct():
+    # entry ((r_n, r_{n+1}), (r_n', r_{n+1}')), r_n fastest as in the columns
+    # of Delta_2, is the sum over the merged index j of C[r_{n+1}, j, r_n]
+    # C[r_{n+1}', j, r_n'], written independently of delta_unfold
     rng = np.random.default_rng(15)
     cores = random_cores(rng, (3, 4, 2, 3), (2, 3, 2, 2))
     for n in range(1, 5):
-        d2 = delta_unfold(subchain(cores, n), 2)
-        np.testing.assert_allclose(subchain_gram(cores, n), d2.T @ d2, rtol=0, atol=1e-10)
+        c = subchain(cores, n)
+        want = np.einsum("bja,djc->abcd", c, c).reshape(c.shape[0] * c.shape[2], -1, order="F")
+        np.testing.assert_allclose(subchain_gram(cores, n), want, rtol=0, atol=1e-10)
+
+
+def test_ring_references_reject_malformed_cores():
+    # core 1's tail rank 2 is not core 2's head rank 3
+    cores = [np.ones((2, 3, 2)), np.ones((3, 3, 2))]
+    for reference in (lambda: element(cores, (0, 0)), lambda: subchain(cores, 1),
+                      lambda: subchain_gram(cores, 1)):
+        with pytest.raises(ValueError, match="core 1 tail rank 2 != core 2 head rank 3"):
+            reference()
+    with pytest.raises(ValueError, match="at least two cores"):
+        subchain(cores[:1], 1)
 
 
 @pytest.mark.parametrize("shape,m", [

@@ -481,11 +481,12 @@ def test_loop_kernel_budget(monkeypatch, name, solver):
 def test_sweep_carries_transfer_matrices(monkeypatch, name, solver):
     # one transfer matrix per core before the first sweep and one per core
     # update after it; the data sweep reads the Gram from the transfer
-    # products it holds and never rebuilds it through subchain_gram
+    # products it holds and never rebuilds it through subchain_gram, nor
+    # forms a dense subchain
     shape = (3, 2, 3, 2, 3, 2)
     order, iters = len(shape), 2
     truth, mask = synth_instance(shape, (2,) * order, 0.5, 0, std=0.5)
-    transfers, grams = [], []
+    transfers, grams, chains = [], [], []
 
     def counted(calls, fn):
         def wrapped(*args):
@@ -496,11 +497,12 @@ def test_sweep_carries_transfer_matrices(monkeypatch, name, solver):
     monkeypatch.setattr(trtc.ring, "transfer", counted(transfers, trtc.ring.transfer))
     for module in (trtc.prox, trtc.ring):
         monkeypatch.setattr(module, "subchain_gram", counted(grams, module.subchain_gram))
+        monkeypatch.setattr(module, "subchain", counted(chains, module.subchain))
     rep = solver(np.where(mask, truth, np.nan), mask,
                  SolverConfig(tr_rank=(2,) * order, tol=1e-300, max_iters=iters, seed=0))
     assert rep.iterations == iters
     assert len(transfers) == order + order * iters
-    assert grams == []
+    assert grams == [] and chains == []
 
 
 @pytest.mark.parametrize("shape,rank,groups", [
