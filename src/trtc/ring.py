@@ -150,25 +150,6 @@ def split_mode(shape):
     return min(range(1, len(shape)), key=lambda m: max(math.prod(shape[:m]), math.prod(shape[m:])))
 
 
-def _data_term(prefix, suffix):
-    # Delta_n(x) @ Delta_2(subchain_n) from the n-th sides of data_sweep:
-    # one side has x contracted into it, and the one contraction left, over
-    # the merged index and r_1, is one product of the two sides laid out as
-    # matrices, the product np.tensordot forms
-    if suffix.ndim == 4:
-        # n <= m: U_n (I_n, A, R_1, R_{n+1}) against the prefix chain (R_1, A, R_n)
-        i, a, r, q = suffix.shape
-        t = np.dot(suffix.transpose(0, 3, 1, 2).reshape(i * q, a * r),
-                   prefix.transpose(1, 0, 2).reshape(a * r, -1))  # [(i_n, r_{n+1}), r_n]
-        # columns of Delta_2 run over (r_n, r_{n+1}), r_n fastest
-        return t.reshape(i, -1)
-    # n > m: V_n (B, I_n, R_1, R_n) against the suffix chain (R_{n+1}, B, R_1)
-    b, i, r, p = prefix.shape
-    t = np.dot(prefix.transpose(1, 3, 0, 2).reshape(i * p, b * r),
-               suffix.transpose(1, 2, 0).reshape(b * r, -1))  # [(i_n, r_n), r_{n+1}]
-    return t.reshape(i, p, -1).transpose(0, 2, 1).reshape(i, -1)
-
-
 def data_sweep(x, cores, merge=_merge):
     """What the update of each core n = 1..N reads from the rest of the ring, sweep after sweep, as a Gauss-Seidel solver reads it.
 
@@ -208,25 +189,14 @@ def data_sweep(x, cores, merge=_merge):
     ring as the caller now holds it, (prefix, suffix): the chains of cores
     1..m and m+1..N. Resumed after that, it sweeps again, from the suffix
     chains it built with that suffix and x as the caller then holds it.
-    What the sweeps derive from the extents and ranks alone (m and the
-    layouts of every product) is derived once, before the first sweep.
+    The split m is derived once, before the first sweep.
     """
     x = np.asarray(x)
     shape = x.shape
     order = len(cores)
     m = split_mode(shape)
     r = cores[0].shape[0]
-    ranks = [c.shape[0] for c in cores] + [r]
     rows, cols = math.prod(shape[:m]), math.prod(shape[m:])
-    # core n's product: the partial's and the core's matrix shapes and the
-    # shape of the partial it makes, U_{n-1} (n <= m) or V_{n+1} (n > m)
-    steps = {}
-    for n in range(2, m + 1):
-        a, i, p, q = math.prod(shape[:n - 1]), shape[n - 1], ranks[n - 1], ranks[n]
-        steps[n] = (a * r, i * q), (i * q, p), (shape[n - 2], a // shape[n - 2], r, p)
-    for n in range(m + 1, order):
-        b, i, p, q = math.prod(shape[n:]), shape[n - 1], ranks[n - 1], ranks[n]
-        steps[n] = (b * r, i * p), (i * p, q), (b // shape[n], shape[n], r, q)
     empty = identity_chain(r)
     suffixes = _suffixes(cores, merge, empty, m)
     trans = [transfer(c) for c in cores]
@@ -236,28 +206,37 @@ def data_sweep(x, cores, merge=_merge):
         x_half = x.reshape(rows, cols, order="F")
         # U_m, then U_{m-1}..U_1 from the cores as they are before the first yield
         u = x_half @ suffixes[-1].transpose(1, 2, 0).reshape(cols, -1)
-        partials = [u.reshape(shape[m - 1], -1, r, ranks[m])]
+        partials = [u.reshape(shape[m - 1], -1, r, suffixes[-1].shape[0])]
         for n in range(m, 1, -1):
-            left, right, out = steps[n]
-            u = np.dot(partials[-1].transpose(1, 2, 0, 3).reshape(left),  # [(j, r_1), (i_n, r_{n+1})]
-                       cores[n - 1].transpose(1, 2, 0).reshape(right))
-            partials.append(u.reshape(out))
+            p, i, q = cores[n - 1].shape
+            u = np.dot(partials[-1].transpose(1, 2, 0, 3).reshape(-1, i * q),  # [(j, r_1), (i_n, r_{n+1})]
+                       cores[n - 1].transpose(1, 2, 0).reshape(i * q, p))
+            partials.append(u.reshape(shape[n - 2], -1, r, p))
         prefix, tprefix = empty, teye
         for n in range(1, m + 1):
-            yield _data_term(prefix, partials.pop()), transfer_gram(tprefix, tsuffixes[order - n])
+            # U_n (I_n, A, R_1, R_{n+1}) against the prefix chain (R_1, A, R_n)
+            p, i, q = cores[n - 1].shape
+            data = np.dot(partials.pop().transpose(0, 3, 1, 2).reshape(i * q, -1),
+                          prefix.transpose(1, 0, 2).reshape(-1, p))  # [(i_n, r_{n+1}), r_n]
+            # columns of Delta_2 run over (r_n, r_{n+1}), r_n fastest
+            yield data.reshape(i, -1), transfer_gram(tprefix, tsuffixes[order - n])
             trans[n - 1] = transfer(cores[n - 1])
             prefix = cores[0] if n == 1 else merge(prefix, cores[n - 1])
             tprefix = trans[0] if n == 1 else tprefix @ trans[n - 1]
         v = x_half.T @ prefix.transpose(1, 0, 2).reshape(rows, -1)
-        v = v.reshape(-1, shape[m], r, ranks[m])
+        v = v.reshape(-1, shape[m], r, prefix.shape[2])
         for n in range(m + 1, order + 1):
-            yield _data_term(v, suffixes[order - n]), transfer_gram(tprefix, tsuffixes[order - n])
+            # V_n (B, I_n, R_1, R_n) against the suffix chain (R_{n+1}, B, R_1)
+            p, i, q = cores[n - 1].shape
+            data = np.dot(v.transpose(1, 3, 0, 2).reshape(i * p, -1),
+                          suffixes[order - n].transpose(1, 2, 0).reshape(-1, q))  # [(i_n, r_n), r_{n+1}]
+            data = data.reshape(i, p, q).transpose(0, 2, 1).reshape(i, -1)
+            yield data, transfer_gram(tprefix, tsuffixes[order - n])
             trans[n - 1] = transfer(cores[n - 1])
             if n < order:
                 tprefix = tprefix @ trans[n - 1]
-                left, right, out = steps[n]
-                v = np.dot(v.transpose(0, 2, 1, 3).reshape(left),  # [(k, r_1), (i_n, r_n)]
-                           cores[n - 1].transpose(1, 0, 2).reshape(right)).reshape(out)
+                v = np.dot(v.transpose(0, 2, 1, 3).reshape(-1, i * p),  # [(k, r_1), (i_n, r_n)]
+                           cores[n - 1].transpose(1, 0, 2).reshape(i * p, q)).reshape(-1, shape[n], r, q)
         # the partials and the transfer products go before the halves are read
         x_half = u = v = tprefix = tsuffixes = None
         suffixes = _suffixes(cores, merge, empty, m)

@@ -21,8 +21,8 @@ third model is one class and one entry in MODELS.
 
 Per iteration, in order: sweep the cores n = 1..N (Gauss-Seidel, each update
 sees the cores already refreshed this sweep), update the auxiliary/latent
-tensors by SVT, refill the missing entries of x from the reconstruction,
-step the multipliers, grow mu. Stops when the relative change of x drops
+tensors by SVT and step the multipliers, refill the missing entries of x
+from the reconstruction, grow mu. Stops when the relative change of x drops
 below tol; a stop with the reconstruction collapsed toward zero (at most
 _COLLAPSE times the norm of the observed entries) is not converged. The
 report's stop_reason says which stop it was: "tol", "collapsed", or
@@ -31,7 +31,8 @@ report's stop_reason says which stop it was: "tol", "collapsed", or
 The SVT and dual steps touch each core alone, so they run once per group
 of cores that share a shape (R_n, I_n, R_{n+1}): a ShapeGroup holds the
 group's auxiliary tensors (3, m, ...) and multipliers (k, m, ...) as
-stacks, and its cores are stacked once per iteration. The core sweep reads
+stacks. After the core sweep, one pass over the groups stacks each group's
+cores and takes the SVT and dual steps on the stack. The core sweep reads
 core n's slices grp.aux[:, j] and grp.multipliers[:, j] through one slot
 map, and the penalty term Gamma_2(mu * sum_i aux_i + sum_j Y_j) of its
 update, which the sweep does not change, from a stack formed once per
@@ -51,12 +52,10 @@ next sweep starts from the suffix chains the second half was built with,
 so each chain is built once per iteration. x stays first-index-fastest
 (Fortran order), so the sweep reads it without a copy.
 
-One data sweep serves the whole solve, so what it derives from the shapes
-alone (the split and the layouts of its products) is derived once per
-solve, as is the slot map. The loop builds every shape the core updates
-read, and their systems are positive definite by construction, so a core
-update given the sweep's terms checks nothing and solves its system with
-one np.linalg.solve (trtc.prox).
+One data sweep serves the whole solve. The loop builds every shape the
+core updates read, and their systems are positive definite by
+construction, so a core update given the sweep's terms checks nothing and
+solves its system with one np.linalg.solve (trtc.prox).
 
 The refill writes the reconstruction into the missing entries of x in
 place, through x's flat first-index-fastest view and the positions of the
@@ -120,13 +119,6 @@ class ShapeGroup:
     members: list            # indices of the m cores, in ring order
     aux: np.ndarray          # (3, m, R_n, I_n, R_{n+1}): M_ni (olrf) or W_ni (llrf)
     multipliers: np.ndarray  # (k, m, ...): Y_ni (olrf, k = 3) or Y_n (llrf, k = 1)
-
-
-@dataclass
-class State:
-    x: np.ndarray
-    cores: list
-    groups: list  # one ShapeGroup per core shape
 
 
 @dataclass
@@ -250,10 +242,10 @@ MODELS = {"olrf": _Overlapped, "llrf": _Latent}
 
 
 def init_state(observed, mask, cfg, model):
-    """Initial solver state for validated input and a model of MODELS:
-    N(0,1) cores, zero auxiliaries and multipliers, x = observed with missing
-    entries set to zero, first-index-fastest. The auxiliary tensors and
-    multipliers live in the stacks of the cores' ShapeGroups."""
+    """Initial solver state (x, cores, groups) for validated input and a
+    model of MODELS: x = observed with missing entries set to zero,
+    first-index-fastest, N(0,1) cores, and one ShapeGroup per core shape
+    that holds the cores' zero auxiliaries and multipliers as stacks."""
     shape = observed.shape
     ranks = cfg.tr_rank.ranks
     n_modes = len(shape)
@@ -272,15 +264,13 @@ def init_state(observed, mask, cfg, model):
         ShapeGroup(idx, np.zeros((3, len(idx)) + s), np.zeros((k, len(idx)) + s))
         for s, idx in by_shape.items()
     ]
-    return State(x=x, cores=cores, groups=groups)
+    return x, cores, groups
 
 
 def _solve(name, observed, mask, cfg, truth=None):
     observed, mask, truth = _validate(observed, mask, cfg, truth)
-    state = init_state(observed, mask, cfg, name)
+    x, cores, groups = init_state(observed, mask, cfg, name)
     model = MODELS[name]
-    cores = state.cores
-    x = state.x
     mu = _MU0
 
     obs_norm = np.linalg.norm(x)
@@ -295,12 +285,11 @@ def _solve(name, observed, mask, cfg, truth=None):
         truth_scored = truth_flat[missing] if len(missing) else truth_flat
         truth_norm = np.linalg.norm(truth_scored)
     order = len(cores)
-    # the sweep plan, derived once from the shapes: one data sweep for the
-    # whole solve, which builds its first suffix chains and transfer
-    # matrices from the initial cores, and core n's slot, slice j of the
-    # stacks of group state.groups[gi]
+    # one data sweep for the whole solve, which builds its first suffix
+    # chains and transfer matrices from the initial cores, and core n's
+    # slot, slice j of the stacks of group groups[gi]
     terms = data_sweep(x, cores, _merge)
-    slots = {n: (gi, j) for gi, grp in enumerate(state.groups) for j, n in enumerate(grp.members)}
+    slots = {n: (gi, j) for gi, grp in enumerate(groups) for j, n in enumerate(grp.members)}
 
     rel_hist, rse_hist, cons_hist, iter_times, mu_hist = [], [], [], [], []
     stop_reason = "max_iters"
@@ -316,11 +305,11 @@ def _solve(name, observed, mask, cfg, truth=None):
             # unchanged, once per core shape
             penalties = [
                 gamma_unfold(mu * grp.aux.sum(0) + grp.multipliers.sum(0), 2, stacked=True)
-                for grp in state.groups
+                for grp in groups
             ]
             for n in range(1, order + 1):
                 gi, j = slots[n - 1]
-                grp = state.groups[gi]
+                grp = groups[gi]
                 cores[n - 1] = model.core_update(
                     x, cores, grp.aux[:, j], grp.multipliers[:, j], n, cfg.lam, mu,
                     (*next(terms), penalties[gi][j]),
@@ -331,15 +320,23 @@ def _solve(name, observed, mask, cfg, truth=None):
             # the suffix chains it built with the second half
             prefix, suffix = next(terms)
 
-            # the prox half runs once per core shape, on the stacked cores
-            stacks = [np.stack([cores[n] for n in grp.members]) for grp in state.groups]
+            # the prox half and the dual step run once per core shape, on
+            # the stacked cores
             beta = 1.0 / mu
-            for grp, g in zip(state.groups, stacks):
+            cons = 0.0
+            for grp in groups:
+                g = np.stack([cores[n] for n in grp.members])
                 shift = g - grp.multipliers / mu
                 for i in range(3):
                     target = model.svt_target(shift, grp.aux, i)
                     hit = svt(gamma_unfold(target, i + 1, stacked=True), beta).matrix
                     grp.aux[i] = gamma_fold(hit, i + 1, g.shape[1:])
+                res = model.residual(g, grp.aux)
+                grp.multipliers += mu * res
+                # each core's largest constraint residual, relative to the core
+                worst = np.linalg.norm(res.reshape(len(res), len(g), -1), axis=2).max(axis=0)
+                norms = np.linalg.norm(g.reshape(len(g), -1), axis=1)
+                cons = max(cons, float((worst / np.where(norms == 0.0, 1.0, norms)).max()))
 
             # the halves contracted as in ring.reconstruct, so final_x off
             # the mask is reconstruct(final_cores) bit for bit
@@ -351,15 +348,6 @@ def _solve(name, observed, mask, cfg, truth=None):
         z_missing = z.reshape(-1, order="F")[missing]
         rel = float(np.linalg.norm(z_missing - x_missing) / obs_norm)
         x_flat[missing] = x_missing = z_missing
-
-        cons = 0.0
-        for grp, g in zip(state.groups, stacks):
-            res = model.residual(g, grp.aux)
-            grp.multipliers += mu * res
-            # each core's largest constraint residual, relative to the core
-            worst = np.linalg.norm(res.reshape(len(res), len(g), -1), axis=2).max(axis=0)
-            norms = np.linalg.norm(g.reshape(len(g), -1), axis=1)
-            cons = max(cons, float((worst / np.where(norms == 0.0, 1.0, norms)).max()))
         mu = min(_RHO * mu, _MU_MAX)
 
         rel_hist.append(rel)

@@ -19,19 +19,20 @@ def _check_mode(ndim, n):
 
 @lru_cache(maxsize=None)
 def _to_front(ndim, k):
-    # axis k first, the others in natural order, and the inverse
-    # permutation; then both for a stack of tensors along a leading axis,
-    # which goes last, where a first-index-fastest reshape keeps it whole
-    perm = (k,) + tuple(range(k)) + tuple(range(k + 1, ndim))
-    inv = tuple(perm.index(i) for i in range(ndim))
-    return perm, inv, tuple(a + 1 for a in perm) + (0,), (ndim,) + inv
+    # for a stack of order-ndim tensors along a leading axis: axis k of each
+    # tensor first, its others in natural order, and the stack axis last,
+    # where a first-index-fastest reshape keeps it whole; and the inverse
+    perm = (k + 1,) + tuple(range(1, k + 1)) + tuple(range(k + 2, ndim + 1)) + (0,)
+    return perm, tuple(perm.index(i) for i in range(ndim + 1))
 
 
 @lru_cache(maxsize=1024)
 def _fold_targets(shape, k):
-    # the mode-(k+1) unfolding's shape and the tensor's axes with k first
-    rows = shape[k]
-    return (rows, math.prod(shape) // rows), tuple(shape[i] for i in _to_front(len(shape), k)[0])
+    # the shape of a mode-(k+1) unfolding, its columns the product of the
+    # other extents (a zero extent leaves no -1 or division to resolve),
+    # and the tensor's extents with axis k first
+    rest = shape[:k] + shape[k + 1:]
+    return (shape[k], math.prod(rest)), (shape[k],) + rest
 
 
 def gamma_unfold(t, n, stacked=False):
@@ -40,33 +41,33 @@ def gamma_unfold(t, n, stacked=False):
     Rows are indexed by i_n; columns by (i_1,...,i_{n-1},i_{n+1},...,i_N)
     with i_1 varying fastest. With stacked=True the first axis of t indexes
     a stack of tensors, each unfolded alone into one matrix of an
-    (s, I_n, columns) stack.
+    (s, I_n, columns) stack; one tensor is unfolded as a stack of one.
     """
     t = np.asarray(t)
-    if not stacked:
-        _check_mode(t.ndim, n)
-        return t.transpose(_to_front(t.ndim, n - 1)[0]).reshape(t.shape[n - 1], -1, order="F")
-    _check_mode(t.ndim - 1, n)
-    perm = _to_front(t.ndim - 1, n - 1)[2]
-    return t.transpose(perm).reshape(t.shape[n], -1, t.shape[0], order="F").transpose(2, 0, 1)
+    s = t if stacked else t[None]
+    _check_mode(s.ndim - 1, n)
+    unfolded, _ = _fold_targets(s.shape[1:], n - 1)
+    m = s.transpose(_to_front(s.ndim - 1, n - 1)[0]).reshape(unfolded + s.shape[:1], order="F")
+    m = m.transpose(2, 0, 1)
+    return m if stacked else m[0]
 
 
 def gamma_fold(m, n, shape):
     """Inverse of gamma_unfold for the given tensor shape.
 
     m is one unfolding or a stack of them (s, I_n, columns), which folds
-    into an (s, *shape) stack of tensors.
+    into an (s, *shape) stack of tensors; one unfolding folds as a stack of
+    one.
     """
     m = np.asarray(m)
     shape = tuple(shape)
-    k = n - 1
-    unfolded, folded = _fold_targets(shape, k)
+    unfolded, folded = _fold_targets(shape, n - 1)
     if m.ndim not in (2, 3) or m.shape[-2:] != unfolded:
         raise ValueError(f"matrix shape {m.shape} does not match mode {n} of {shape}")
-    _, inv, _, stacked_inv = _to_front(len(shape), k)
-    if m.ndim == 2:
-        return m.reshape(folded, order="F").transpose(inv)
-    return m.transpose(1, 2, 0).reshape(folded + (m.shape[0],), order="F").transpose(stacked_inv)
+    s = m if m.ndim == 3 else m[None]
+    t = s.transpose(1, 2, 0).reshape(folded + s.shape[:1], order="F")
+    t = t.transpose(_to_front(len(shape), n - 1)[1])
+    return t if m.ndim == 3 else t[0]
 
 
 def delta_unfold(t, n):
@@ -79,7 +80,7 @@ def delta_unfold(t, n):
     _check_mode(t.ndim, n)
     k = n - 1
     perm = tuple(range(k, t.ndim)) + tuple(range(k))
-    return t.transpose(perm).reshape(t.shape[k], -1, order="F")
+    return t.transpose(perm).reshape(_fold_targets(t.shape, k)[0], order="F")
 
 
 def frobenius_norm(t):

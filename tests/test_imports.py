@@ -20,12 +20,38 @@ def test_import_does_not_load_scipy():
     assert out[1] == "False"
 
 
+def module_tree(module):
+    return ast.parse(Path(trtc.__file__).with_name(f"{module}.py").read_text())
+
+
 def imported_names(module, source):
     # the names a module of the package imports from its sibling `source`
-    tree = ast.parse(Path(trtc.__file__).with_name(f"{module}.py").read_text())
-    return {alias.name for node in ast.walk(tree)
+    return {alias.name for node in ast.walk(module_tree(module))
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == source
             for alias in node.names}
+
+
+def unread_imports(module):
+    # the names a module binds by a module-level import and never reads,
+    # leaving out those it exports through __all__
+    tree = module_tree(module)
+    bound = {(alias.asname or alias.name).split(".")[0] for node in tree.body
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = {name for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                for name in ast.literal_eval(node.value)}
+    return bound - read - exported
+
+
+def tracer_wrapped():
+    # the (module, attribute) pairs the benchmark's tracer rebinds, read
+    # from the WRAPPED table of perfbench/tracing.py
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text())
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "WRAPPED" for t in node.targets))
+    return {(entry.elts[0].value, entry.elts[1].value) for entry in table.elts}
 
 
 def test_ring_owns_the_sweep_layout():
@@ -34,3 +60,12 @@ def test_ring_owns_the_sweep_layout():
     # terms the data sweep yields
     assert imported_names("prox", "ring") == {"_checked", "subchain", "subchain_gram"}
     assert not imported_names("solvers", "ring") & {"transfer", "transfer_gram"}
+
+
+def test_unread_imports_are_only_the_tracers():
+    # a module-level import that the module never reads is dead, unless the
+    # tracer rebinds that name in that module (trtc.prox.gamma_fold)
+    wrapped = tracer_wrapped()
+    for path in sorted(Path(trtc.__file__).parent.glob("*.py")):
+        name = "trtc" if path.stem == "__init__" else f"trtc.{path.stem}"
+        assert {(name, attr) for attr in unread_imports(path.stem)} <= wrapped, name

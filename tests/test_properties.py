@@ -42,6 +42,13 @@ def test_fold_of_unfold_is_bitwise_identity(t):
         for idx in np.ndindex(*t.shape):
             want[idx[n - 1], sum(idx[a] * s for a, s in zip(rest, strides))] = t[idx]
         assert same_bits(delta_unfold(t, n), want)
+        # Gamma_n the same way, its columns over the other modes in natural order
+        rest = [a for a in range(t.ndim) if a != n - 1]
+        strides = np.cumprod([1] + [t.shape[a] for a in rest])
+        want = np.empty_like(want)
+        for idx in np.ndindex(*t.shape):
+            want[idx[n - 1], sum(idx[a] * s for a, s in zip(rest, strides))] = t[idx]
+        assert same_bits(gamma_unfold(t, n), want)
     # t as a stack of tensors along its first axis: each unfolds alone
     for n in range(1, t.ndim):
         m = gamma_unfold(t, n, stacked=True)

@@ -109,29 +109,29 @@ def test_rse_missing_scope():
 def test_init_state_contract():
     truth, mask, obs = order4_instance()
     cfg = SolverConfig(tr_rank=(4, 5, 4, 5), seed=3)
-    s1 = init_state(obs, mask, cfg, "olrf")
-    s2 = init_state(obs, mask, cfg, "olrf")
-    for a, b in zip(s1.cores, s2.cores):
+    x1, cores1, groups1 = init_state(obs, mask, cfg, "olrf")
+    _, cores2, _ = init_state(obs, mask, cfg, "olrf")
+    for a, b in zip(cores1, cores2):
         np.testing.assert_array_equal(a, b)
-    assert np.all(s1.x[~mask] == 0.0)
-    np.testing.assert_array_equal(s1.x[mask], truth[mask])
+    assert np.all(x1[~mask] == 0.0)
+    np.testing.assert_array_equal(x1[mask], truth[mask])
 
-    s3 = init_state(obs, mask, cfg, "llrf")
+    x3, cores3, groups3 = init_state(obs, mask, cfg, "llrf")
     # cores 1, 3 and 2, 4 share a shape; a group holds the state of its m
     # cores as stacks: three auxiliary tensors and k zero multipliers each,
     # k = 3 constraints for olrf and 1 for llrf. x is Fortran-ordered, so
     # the refill can write through its first-index-fastest flat view
-    for s, k in ((s1, 3), (s3, 1)):
-        assert s.x.flags.f_contiguous
-        assert [g.members for g in s.groups] == [[0, 2], [1, 3]]
-        for g in s.groups:
-            core = s.cores[g.members[0]].shape
+    for x, cores, groups, k in ((x1, cores1, groups1, 3), (x3, cores3, groups3, 1)):
+        assert x.flags.f_contiguous
+        assert [g.members for g in groups] == [[0, 2], [1, 3]]
+        for g in groups:
+            core = cores[g.members[0]].shape
             assert g.aux.shape == (3, 2) + core and np.all(g.aux == 0)
             assert g.multipliers.shape == (k, 2) + core and np.all(g.multipliers == 0)
 
     cfg2 = SolverConfig(tr_rank=(4, 5, 4, 5), seed=4)
-    s4 = init_state(obs, mask, cfg2, "olrf")
-    assert not np.array_equal(s1.cores[0], s4.cores[0])
+    _, cores4, _ = init_state(obs, mask, cfg2, "olrf")
+    assert not np.array_equal(cores1[0], cores4[0])
 
 
 def test_input_validation(monkeypatch):

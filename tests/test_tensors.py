@@ -113,6 +113,23 @@ def test_mode_out_of_range_raises():
             delta_unfold(t, bad)
 
 
+def test_zero_extent_round_trips():
+    # an unfolding along a zero extent has as many columns as the other
+    # extents multiply to, and folds back to the empty tensor it came from
+    for shape in ((0, 3), (3, 0), (2, 0, 4)):
+        t = np.zeros(shape)
+        stack = np.zeros((2,) + shape)
+        for n in range(1, len(shape) + 1):
+            unfolded = (shape[n - 1], int(np.prod(shape[:n - 1] + shape[n:])))
+            m = gamma_unfold(t, n)
+            assert m.shape == unfolded
+            assert gamma_fold(m, n, shape).shape == shape
+            ms = gamma_unfold(stack, n, stacked=True)
+            assert ms.shape == (2,) + unfolded
+            assert gamma_fold(ms, n, shape).shape == (2,) + shape
+            assert delta_unfold(t, n).shape == unfolded
+
+
 def test_fold_dimension_mismatch_raises():
     m = np.zeros((2, 5))  # wrong column count for (2, 2, 2)
     with pytest.raises(ValueError):
