@@ -28,21 +28,20 @@ itself, and its system is positive definite by construction (lam > 0,
 mu >= 1), so that path is the bare formula: nothing is checked, the system
 goes to one np.linalg.solve and G2 is folded by a reshape. Without them,
 the entry points check the caller's x, cores, aux and multipliers, form the
-data term from the dense unfoldings of x and the subchain and the Gram
-with ring.subchain_gram, from the dense subchain too, and solve through
-ridge_solve, which rejects a system that is not finite, symmetric and
-positive definite. That path shares no Gram code with the sweep's transfer
-products, so it is an independent reference for the loop.
+data term and the Gram both from one dense unfolding of the subchain, and
+solve through ridge_solve, which rejects a system that is not finite,
+symmetric and positive definite. That path shares no Gram code with the
+sweep's transfer products, so it is an independent reference for the loop.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-# gamma_fold is not called here; it stays a module attribute because the
-# benchmark's tracer (perfbench/tracing.py) wraps trtc.prox.gamma_fold
+# gamma_fold and subchain_gram are not called here; the benchmark's tracer
+# (perfbench/tracing.py) wraps trtc.prox.gamma_fold and trtc.prox.subchain_gram
 from .tensors import _check_mode, delta_unfold, gamma_fold, gamma_unfold  # noqa: F401
-from .ring import _checked, subchain, subchain_gram
+from .ring import _checked, _subchain, subchain_gram  # noqa: F401
 
 
 # the largest ratio lam / beta^2 that svt thresholds through the Gram:
@@ -153,9 +152,10 @@ def _update(x, cores, n, lam, mu, aux, duals, k, sides):
     shape = cs[n - 1].shape
     if np.shape(aux) != (3,) + shape or np.shape(duals) != (k,) + shape:
         raise ValueError(f"core {n} takes aux of shape {(3,) + shape}, {k} multipliers of shape {shape}")
-    data = delta_unfold(x, n) @ delta_unfold(subchain(cs, n), 2)
+    # one dense subchain gives the data term and the Gram, as subchain_gram forms it
+    q = delta_unfold(_subchain(cs, n), 2)
     penalty = gamma_unfold(mu * np.sum(aux, 0) + np.sum(duals, 0), 2)
-    return _core_update(data, subchain_gram(cs, n), penalty, shape, lam, mu, k, ridge_solve)
+    return _core_update(delta_unfold(x, n) @ q, q.T @ q, penalty, shape, lam, mu, k, ridge_solve)
 
 
 def core_update_olrf(x, cores, aux, duals, n, lam, mu, sides=None):

@@ -258,22 +258,22 @@ def reconstruct(cores):
     return z.reshape(tuple(c.shape[1] for c in cs), order="F")
 
 
+def _subchain(cs, n):
+    # the one dense subchain: checked cores n+1..N, 1..n-1 merged left to right
+    return functools.reduce(_merge, cs[n:] + cs[:n - 1])
+
+
 def subchain(cores, n):
-    """Merged product of all cores but core n.
+    """Merged product of all cores but core n, the dense subchain.
 
     Order-3 tensor of shape (R_{n+1}, prod of other extents, R_n); slice at
     merged index (i_{n+1},...,i_N,i_1,...,i_{n-1}) is the matrix product
-    G_{n+1}(i_{n+1}) ... G_{n-1}(i_{n-1}), merged index first-fastest.
+    G_{n+1}(i_{n+1}) ... G_{n-1}(i_{n-1}), merged index first-fastest. The
+    checked core updates and eq2_residual build it as this does, once each.
     """
     cs = TRCores(cores).cores
-    N = len(cs)
-    _check_mode(N, n)
-    c = n - 1
-    order = [(c + k) % N for k in range(1, N)]
-    acc = cs[order[0]]
-    for j in order[1:]:
-        acc = _merge(acc, cs[j])
-    return acc
+    _check_mode(len(cs), n)
+    return _subchain(cs, n)
 
 
 def transfer(core):
@@ -328,7 +328,7 @@ def eq2_residual(cores, x, n):
     """Frobenius mismatch of Delta_n(x) against Gamma_2(G_n) Delta_2(C)^T."""
     cs, x = _checked(cores, x)
     lhs = delta_unfold(x, n)
-    rhs = gamma_unfold(cs[n - 1], 2) @ delta_unfold(subchain(cs, n), 2).T
+    rhs = gamma_unfold(cs[n - 1], 2) @ delta_unfold(_subchain(cs, n), 2).T
     return float(np.linalg.norm(lhs - rhs))
 
 

@@ -28,9 +28,11 @@ def _to_front(ndim, k):
 
 @lru_cache(maxsize=1024)
 def _fold_targets(shape, k):
-    # the shape of a mode-(k+1) unfolding, its columns the product of the
-    # other extents (a zero extent leaves no -1 or division to resolve),
-    # and the tensor's extents with axis k first
+    # every unfolding's mode check, made before shape[k] is read (a cache
+    # keeps no exception, so a bad mode raises each time); the shape of a
+    # mode-(k+1) unfolding, its columns the product of the other extents (a
+    # zero extent leaves nothing to resolve), and the extents with axis k first
+    _check_mode(len(shape), k + 1)
     rest = shape[:k] + shape[k + 1:]
     return (shape[k], math.prod(rest)), (shape[k],) + rest
 
@@ -45,7 +47,6 @@ def gamma_unfold(t, n, stacked=False):
     """
     t = np.asarray(t)
     s = t if stacked else t[None]
-    _check_mode(s.ndim - 1, n)
     unfolded, _ = _fold_targets(s.shape[1:], n - 1)
     m = s.transpose(_to_front(s.ndim - 1, n - 1)[0]).reshape(unfolded + s.shape[:1], order="F")
     m = m.transpose(2, 0, 1)
@@ -77,10 +78,9 @@ def delta_unfold(t, n):
     fastest. For n=1 this coincides with gamma_unfold.
     """
     t = np.asarray(t)
-    _check_mode(t.ndim, n)
-    k = n - 1
-    perm = tuple(range(k, t.ndim)) + tuple(range(k))
-    return t.transpose(perm).reshape(_fold_targets(t.shape, k)[0], order="F")
+    unfolded = _fold_targets(t.shape, n - 1)[0]
+    perm = tuple(range(n - 1, t.ndim)) + tuple(range(n - 1))
+    return t.transpose(perm).reshape(unfolded, order="F")
 
 
 def frobenius_norm(t):

@@ -58,13 +58,14 @@ def test_ring_owns_the_sweep_layout():
     # the sweep's sides, transfer matrices and products stay inside trtc.ring:
     # the core update reads only the plain references, and the loop only the
     # terms the data sweep yields
-    assert imported_names("prox", "ring") == {"_checked", "subchain", "subchain_gram"}
+    assert imported_names("prox", "ring") == {"_checked", "_subchain", "subchain_gram"}
     assert not imported_names("solvers", "ring") & {"transfer", "transfer_gram"}
 
 
 def test_unread_imports_are_only_the_tracers():
     # a module-level import that the module never reads is dead, unless the
-    # tracer rebinds that name in that module (trtc.prox.gamma_fold)
+    # tracer rebinds that name in that module (trtc.prox.gamma_fold and
+    # trtc.prox.subchain_gram)
     wrapped = tracer_wrapped()
     for path in sorted(Path(trtc.__file__).parent.glob("*.py")):
         name = "trtc" if path.stem == "__init__" else f"trtc.{path.stem}"

@@ -264,21 +264,39 @@ def test_core_update_of_caller_state_goes_through_ridge_solve(monkeypatch, model
 
 def test_checked_core_update_shares_no_gram_code_with_the_sweep(monkeypatch):
     # the dense reference the loop's core updates are checked against
-    # forms its Gram without the transfer products a data sweep reads
+    # forms its Gram without the transfer products a data sweep reads, and
+    # a checked call validates the ring once and merges one dense subchain,
+    # N - 2 merges for N cores, whose Gram it forms without subchain_gram
     rng = np.random.default_rng(16)
-    cores, x, n = rand_instance(rng)
-    shape = cores[n - 1].shape
-    aux = [rng.standard_normal(shape) for _ in range(3)]
-    duals = [rng.standard_normal(shape) for _ in range(3)]
+    shape, ranks = (3, 2, 4, 2, 3), (2, 3, 1, 2, 2)
+    cores = [rng.standard_normal((ranks[i], shape[i], ranks[(i + 1) % 5])) for i in range(5)]
+    x = rng.standard_normal(shape)
+    calls = []
 
     def forbidden(*args):
         raise AssertionError("the dense reference reads a transfer product")
 
+    def counted(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
     monkeypatch.setattr(trtc.ring, "transfer", forbidden)
     monkeypatch.setattr(trtc.ring, "transfer_gram", forbidden)
-    assert core_update_olrf(x, cores, aux, duals, n, 10.0, 2.0).shape == shape
-    assert core_update_llrf(x, cores, aux, duals[0], n, 10.0, 2.0).shape == shape
-    assert subchain_gram(cores, n).shape == (shape[0] * shape[2],) * 2
+    monkeypatch.setattr(trtc.ring, "_merge", counted("merge", trtc.ring._merge))
+    monkeypatch.setattr(trtc.ring.TRCores, "__post_init__", counted("check", trtc.ring.TRCores.__post_init__))
+    for module in (trtc.prox, trtc.ring):
+        monkeypatch.setattr(module, "subchain_gram", counted("gram", module.subchain_gram))
+    for n in range(1, 6):
+        aux, duals = rng.standard_normal((2, 3) + cores[n - 1].shape)
+        for call in (lambda: core_update_olrf(x, cores, aux, duals, n, 10.0, 2.0),
+                     lambda: core_update_llrf(x, cores, aux, duals[0], n, 10.0, 2.0),
+                     lambda: trtc.ring.eq2_residual(cores, x, n)):
+            calls.clear()
+            call()
+            assert sorted(calls) == ["check"] + ["merge"] * 3
+    assert subchain_gram(cores, 1).shape == (ranks[0] * ranks[1],) * 2
 
 
 def normal_system(x, cores, n, lam, extra):

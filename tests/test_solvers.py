@@ -497,7 +497,7 @@ def test_sweep_carries_transfer_matrices(monkeypatch, name, solver):
     monkeypatch.setattr(trtc.ring, "transfer", counted(transfers, trtc.ring.transfer))
     for module in (trtc.prox, trtc.ring):
         monkeypatch.setattr(module, "subchain_gram", counted(grams, module.subchain_gram))
-        monkeypatch.setattr(module, "subchain", counted(chains, module.subchain))
+        monkeypatch.setattr(module, "_subchain", counted(chains, module._subchain))
     rep = solver(np.where(mask, truth, np.nan), mask,
                  SolverConfig(tr_rank=(2,) * order, tol=1e-300, max_iters=iters, seed=0))
     assert rep.iterations == iters

@@ -111,6 +111,12 @@ def test_mode_out_of_range_raises():
             gamma_unfold(t, bad)
         with pytest.raises(ValueError):
             delta_unfold(t, bad)
+    # gamma_fold takes the mode rule from the same place, one matrix or a stack
+    shape = (2, 3, 4)
+    for m in (np.zeros((4, 6)), np.zeros((5, 4, 6))):
+        for bad in (0, len(shape) + 1, -1):
+            with pytest.raises(ValueError, match=f"mode {bad} out of range"):
+                gamma_fold(m, bad, shape)
 
 
 def test_zero_extent_round_trips():
