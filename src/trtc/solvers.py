@@ -57,14 +57,19 @@ core updates read, and their systems are positive definite by
 construction, so a core update given the sweep's terms checks nothing and
 solves its system with one np.linalg.solve (trtc.prox).
 
-The refill writes the reconstruction into the missing entries of x in
-place, through x's flat first-index-fastest view and the positions of the
-missing entries, computed once per solve. The observed entries of x never
-change, so the relative change is taken over the missing entries alone,
-against the values the last refill wrote (zero before the first), which the
-loop keeps instead of reading them back from x.
+The reconstruction z, first index fastest, is the (rows, cols) product of
+the two halves, and the loop never forms it whole: it contracts the halves
+one range of z's columns (about _BLOCK entries) at a time and, while the
+range is in cache, writes its missing entries into x in place, through
+x's flat first-index-fastest view. The ranges and their missing entries'
+offsets are computed once per solve. The observed entries of x never
+change, so the relative change is taken over the missing entries alone:
+each range writes their change into its segment of one buffer, whose norm
+is then the same dot over the same values as a whole-z refill's. No array
+of the tensor's size but x lives through an iteration.
 """
 
+import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -73,7 +78,7 @@ from typing import Optional
 import numpy as np
 
 from .tensors import gamma_unfold, gamma_fold
-from .ring import TRCores, TRRank, _merge, _trace_contract, data_sweep
+from .ring import TRCores, TRRank, _merge, _trace_contract, data_sweep, split_mode
 from .prox import svt, core_update_olrf, core_update_llrf
 
 # penalty schedule, the same for every solve: mu starts at _MU0 and grows
@@ -84,6 +89,9 @@ _RHO = 1.01
 # a solve that stops with its last reconstruction at most _COLLAPSE times
 # the norm of the observed entries has collapsed toward zero: not converged
 _COLLAPSE = 1e-3
+# the reconstruction is formed and refilled in column ranges of about this
+# many entries (512 KB), so no range leaves the cache before its refill
+_BLOCK = 2 ** 16
 
 
 class DivergenceError(RuntimeError):
@@ -275,15 +283,37 @@ def _solve(name, observed, mask, cfg, truth=None):
 
     obs_norm = np.linalg.norm(x)
     x_flat = x.reshape(-1, order="F")
-    missing = np.flatnonzero(~mask.ravel(order="F"))
-    # x's missing entries, which the refill alone writes: zero at the start
-    x_missing = np.zeros(len(missing))
+    # the refill's plan: z's columns go in ranges of about _BLOCK entries,
+    # each with x's slice, the offsets of its missing entries in that slice
+    # and its segment of the missing entries. A product of one row or one
+    # column is a gemv, whose bits differ from the gemm's and depend on its
+    # width: every range has two columns or more, and a z of one row is a
+    # single range, so the ranges are the whole product bit for bit
+    rows = math.prod(x.shape[:split_mode(x.shape)])
+    cols = x.size // rows
+    width = cols if rows == 1 else min(cols, max(2, _BLOCK // rows))
+    edges = list(range(0, cols, width))
+    if len(edges) > 1 and cols - edges[-1] == 1:
+        edges.pop()
+    edges.append(cols)
+    missing = ~mask.ravel(order="F")
+    blocks, n_missing = [], 0
+    for k0, k1 in zip(edges, edges[1:]):
+        loc = np.flatnonzero(missing[k0 * rows:k1 * rows])
+        seg = slice(n_missing, n_missing + len(loc))
+        blocks.append((slice(k0, k1), x_flat[k0 * rows:k1 * rows], loc, seg))
+        n_missing += len(loc)
+    # the change of x's missing entries, which the refill alone writes
+    diff = np.empty(n_missing)
     if truth is not None:
         # the entries rse scores (_scored), gathered once in the order the
-        # loop holds x's: the missing entries, or every entry when none is
+        # loop holds x's: the missing entries, or every entry when none is;
+        # err holds the refilled entries' error
         truth_flat = truth.reshape(-1, order="F")
-        truth_scored = truth_flat[missing] if len(missing) else truth_flat
+        truth_scored = truth_flat[missing] if n_missing else truth_flat
         truth_norm = np.linalg.norm(truth_scored)
+        err = np.empty(n_missing)
+    missing = None
     order = len(cores)
     # one data sweep for the whole solve, which builds its first suffix
     # chains and transfer matrices from the initial cores, and core n's
@@ -299,8 +329,6 @@ def _solve(name, observed, mask, cfg, truth=None):
         t_iter = time.perf_counter()
         mu_hist.append(mu)
         try:
-            # drop the last iteration's reconstruction before the sweep
-            z = None
             # the penalty terms of the core updates, which the sweep leaves
             # unchanged, once per core shape
             penalties = [
@@ -337,24 +365,32 @@ def _solve(name, observed, mask, cfg, truth=None):
                 worst = np.linalg.norm(res.reshape(len(res), len(g), -1), axis=2).max(axis=0)
                 norms = np.linalg.norm(g.reshape(len(g), -1), axis=1)
                 cons = max(cons, float((worst / np.where(norms == 0.0, 1.0, norms)).max()))
-
-            # the halves contracted as in ring.reconstruct, so final_x off
-            # the mask is reconstruct(final_cores) bit for bit
-            z = _trace_contract(prefix, suffix)
         except np.linalg.LinAlgError as e:
             raise DivergenceError(f"{name} iterate became non-finite at iteration {it}: {e}") from e
 
-        # z is first-index-fastest, as x; the observed entries of x stay put
-        z_missing = z.reshape(-1, order="F")[missing]
-        rel = float(np.linalg.norm(z_missing - x_missing) / obs_norm)
-        x_flat[missing] = x_missing = z_missing
+        # the halves contracted as in ring.reconstruct, range by range, so
+        # final_x off the mask is reconstruct(final_cores) bit for bit; the
+        # observed entries of x stay put, and the collapse test reads z's
+        # norm from the ranges
+        z_sq = 0.0
+        for ks, xb, loc, seg in blocks:
+            zc = _trace_contract(prefix, suffix[:, ks]).reshape(-1, order="F")
+            z_sq += zc @ zc
+            zm = zc[loc]
+            np.subtract(zm, xb[loc], out=diff[seg])
+            xb[loc] = zm
+            if truth is not None:
+                np.subtract(zm, truth_scored[seg], out=err[seg])
+        rel = float(np.linalg.norm(diff) / obs_norm)
         mu = min(_RHO * mu, _MU_MAX)
 
         rel_hist.append(rel)
         cons_hist.append(float(cons))
         if truth is not None:
-            scored = x_missing if len(missing) else x_flat
-            rse_hist.append(float(np.linalg.norm(scored - truth_scored) / truth_norm))
+            # with no entry missing x is the observed tensor, and a solve
+            # stops at its first iteration
+            scored = err if n_missing else x_flat - truth_scored
+            rse_hist.append(float(np.linalg.norm(scored) / truth_norm))
         iter_times.append(time.perf_counter() - t_iter)
 
         if not np.isfinite(rel) or rel > 1e3:
@@ -367,7 +403,7 @@ def _solve(name, observed, mask, cfg, truth=None):
             blowups = 0
 
         if rel < cfg.tol:
-            stop_reason = "tol" if np.linalg.norm(z) > _COLLAPSE * obs_norm else "collapsed"
+            stop_reason = "tol" if np.sqrt(z_sq) > _COLLAPSE * obs_norm else "collapsed"
             break
 
     return SolveReport(

@@ -1,6 +1,8 @@
 """Solver loop behavior: fixed points, schedules, recovery, failure modes."""
 
 import importlib.util
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from trtc import (
     solve_llrf,
     rse,
 )
-from trtc.ring import split_mode
+from trtc.ring import reconstruct, split_mode
 from trtc.solvers import init_state
 from trtc.cli import synth_instance
 
@@ -287,6 +289,107 @@ def test_inputs_untouched_and_not_aliased(name, solver):
         assert getattr(c_rep, h) == getattr(f_rep, h), h
 
 
+def refill_columns(shape):
+    # z is the (rows, cols) product of the ring's two halves
+    rows = math.prod(shape[:split_mode(shape)])
+    return rows, math.prod(shape) // rows
+
+
+def observed_first_range(truth, mask):
+    # every entry of z's first two columns observed: the first range of a
+    # two-column plan has no missing entry
+    mask = np.asfortranarray(mask.copy())
+    rows, _ = refill_columns(mask.shape)
+    mask.reshape(-1, order="F")[:2 * rows] = True
+    return truth, mask
+
+
+REFILL_CASES = [
+    # (4, 3, 5) splits into 12 rows and 5 columns: two-column ranges would
+    # leave a one-column last range
+    pytest.param((4, 3, 5), (2, 2, 2), 0.3, None, True, "max_iters", id="odd-columns-truth"),
+    pytest.param((4, 3, 5), (2, 2, 2), 0.3, observed_first_range, False, "max_iters",
+                 id="observed-range"),
+    pytest.param((4, 3, 5), (2, 2, 2), 0.0, None, True, "tol", id="fully-observed"),
+    pytest.param((3, 2, 3, 2, 3, 2), (2,) * 6, 0.5, None, False, "collapsed", id="collapsing-323232"),
+]
+
+
+def report_bytes(rep):
+    return (rep.final_x.tobytes(order="F"), rep.rel_change_history, rep.consistency_history,
+            rep.rse_history, rep.mu_history, rep.iterations, rep.stop_reason)
+
+
+@pytest.mark.parametrize("shape,rank,missing_rate,tweak,with_truth,stop", REFILL_CASES)
+@pytest.mark.parametrize("name,solver", SOLVERS)
+def test_blocked_refill_is_the_one_block_refill(monkeypatch, name, solver, shape, rank,
+                                                missing_rate, tweak, with_truth, stop):
+    # the reconstruction is formed and refilled in column ranges; a plan of
+    # two-column ranges (_BLOCK of one entry) and a plan of one range give
+    # the same solve byte for byte, with one trace contraction per range
+    # and iteration
+    truth, mask = synth_instance(shape, rank, missing_rate, 0)
+    if tweak:
+        truth, mask = tweak(truth, mask)
+    obs = np.where(mask, truth, np.nan)
+    cfg = SolverConfig(tr_rank=rank, max_iters=60, seed=0)
+    contract = trtc.solvers._trace_contract
+    calls = []
+
+    def counted(prefix, suffix):
+        calls.append(suffix.shape[1])
+        return contract(prefix, suffix)
+
+    monkeypatch.setattr(trtc.solvers, "_trace_contract", counted)
+    reports, widths = [], []
+    for block in (1, 2 ** 62):
+        monkeypatch.setattr(trtc.solvers, "_BLOCK", block)
+        calls.clear()
+        reports.append(solver(obs, mask, cfg, truth=truth if with_truth else None))
+        widths.append(list(calls))
+    small, whole = reports
+    assert report_bytes(small) == report_bytes(whole)
+    assert (small.rse_history is not None) == with_truth
+    assert small.stop_reason == stop
+    # the last range takes the odd column
+    _, cols = refill_columns(shape)
+    ranges = cols // 2
+    assert widths[0] == ([2] * (ranges - 1) + [cols - 2 * (ranges - 1)]) * small.iterations
+    assert widths[1] == [cols] * whole.iterations
+
+
+@pytest.mark.parametrize("block", [1, 2 ** 16])
+@pytest.mark.parametrize("name,solver", SOLVERS)
+def test_final_x_off_the_mask_is_reconstruct_of_final_cores(monkeypatch, name, solver, block):
+    # a range of two or more columns is the full product's rows bit for
+    # bit; a one-column range would be a gemv, whose bits differ
+    truth, mask = synth_instance((4, 3, 5), (2, 2, 2), 0.3, 0)
+    monkeypatch.setattr(trtc.solvers, "_BLOCK", block)
+    rep = solver(np.where(mask, truth, np.nan), mask,
+                 SolverConfig(tr_rank=(2, 2, 2), max_iters=40, seed=0))
+    assert rep.final_x[~mask].tobytes() == reconstruct(rep.final_cores)[~mask].tobytes()
+
+
+@pytest.mark.parametrize("name,solver", SOLVERS)
+def test_loop_memory_stays_below_three_tensors(name, solver):
+    # the loop holds no array of the tensor's size but x: per iteration it
+    # forms z one column range at a time (about _BLOCK entries), and per
+    # solve it keeps the offsets and the change of the missing entries
+    shape = (6,) * 7
+    truth, mask = synth_instance(shape, (2,) * 7, 0.5, 0)
+    rows, cols = refill_columns(shape)
+    assert cols // max(2, trtc.solvers._BLOCK // rows) >= 4
+    obs = np.where(mask, truth, np.nan)
+    tracemalloc.start()
+    try:
+        rep = solver(obs, mask, SolverConfig(tr_rank=(2,) * 7, tol=1e-300, max_iters=3, seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.iterations == 3
+    assert peak < 3 * rep.final_x.nbytes, peak / rep.final_x.nbytes
+
+
 @pytest.mark.parametrize("name,solver", SOLVERS)
 def test_synthetic_recovery_and_consistency(name, solver):
     # half the entries removed, solved at the generating rank
@@ -413,7 +516,8 @@ def test_loop_merges_and_contractions_go_through_the_solver_module(monkeypatch, 
     # trtc.solvers attributes its tracer wraps: every one the loop makes
     # must pass there. Per iteration, one core update per core, three SVTs
     # and folds and four unfolds (three SVT targets and the core updates'
-    # penalty terms) per core shape, N-2 merges and one trace contraction;
+    # penalty terms) per core shape, N-2 merges and one trace contraction
+    # per column range of the reconstruction (one range at this size);
     # per solve, one input check and the N-m-1 merges of the first suffix
     # chains
     shape = (3, 2, 3, 2, 3, 2)
