@@ -28,6 +28,7 @@ from .ring import TRRank, reconstruct
 from .solvers import DivergenceError, SolverConfig, _checked_truth, rse, solve_llrf, solve_olrf
 
 SOLVERS = {"olrf": solve_olrf, "llrf": solve_llrf}
+SWEEP_AXES = ("missing-rate", "rank", "lambda")
 # the std of the synthetic cores, for synth_instance, run_sweep and the flags
 _STD = 0.5
 
@@ -158,26 +159,24 @@ def run_sweep(axis, grid, shape, gen_rank, missing_rate, lam, solver_names,
     rank, or lambda. RSE is taken on missing entries (on all entries when
     the instance has none).
     """
-    # checked before the first solve; a float rank would be truncated
+    # checked before the first solve
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}, expected one of {', '.join(SWEEP_AXES)}")
+    for solver in solver_names:
+        if solver not in SOLVERS:
+            raise ValueError(f"unknown solver {solver!r}, expected one of {', '.join(SOLVERS)}")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if axis == "rank":
+        # a float rank would be truncated
         for value in grid:
             if not float(value).is_integer():
                 raise ValueError(f"rank grid value {value} is not an integer")
     rows = []
     for value in grid:
-        rate = missing_rate
-        solve_rank = tuple(gen_rank)
-        lam_here = lam
-        if axis == "missing-rate":
-            rate = float(value)
-        elif axis == "rank":
-            solve_rank = (int(value),) * len(shape)
-        elif axis == "lambda":
-            lam_here = float(value)
-        else:
-            raise ValueError(f"unknown sweep axis {axis!r}")
+        rate = float(value) if axis == "missing-rate" else missing_rate
+        solve_rank = (int(value),) * len(shape) if axis == "rank" else tuple(gen_rank)
+        lam_here = float(value) if axis == "lambda" else lam
         for solver in solver_names:
             rses, iters, conv = [], [], 0
             for j in range(repeats):
@@ -292,7 +291,7 @@ def build_parser():
     pc.set_defaults(func=cmd_complete)
 
     pw = sub.add_parser("sweep", help="grid of repeated synthetic completions")
-    pw.add_argument("--axis", choices=["missing-rate", "rank", "lambda"], required=True)
+    pw.add_argument("--axis", choices=SWEEP_AXES, required=True)
     pw.add_argument("--grid", type=_floats, required=True, help="e.g. 0.1,0.3,0.5")
     pw.add_argument("--shape", type=_ints, required=True)
     pw.add_argument("--rank", type=_ints, required=True, help="generator TR-rank")

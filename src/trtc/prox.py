@@ -56,6 +56,14 @@ class SVTResult:
     effective_rank: int
 
 
+def _svd_svt(a, beta):
+    # the prox through the SVD: U max(S - beta, 0) V^T and its count of
+    # singular values above beta
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    shrunk = np.maximum(s - beta, 0.0)
+    return (u * shrunk[..., None, :]) @ vt, int(np.count_nonzero(shrunk))
+
+
 def svt(a, beta):
     """Singular value thresholding, the prox operator of beta * nuclear norm.
 
@@ -80,31 +88,29 @@ def svt(a, beta):
     if not beta >= 0:
         raise ValueError("beta must be nonnegative")
     a = np.asarray(a, dtype=float)
-    # where beta^2 underflows (beta = 0 among them) or overflows every
-    # matrix takes the SVD, so the Gram route runs at beta = 1 only to be
-    # overwritten, which keeps 0 / 0 and inf / inf out; a Python float
-    # overflows to inf without numpy's warning
+    if a.ndim < 2:
+        raise ValueError(f"svt takes a matrix or a stack of matrices (..., m, n), got shape {a.shape}")
+    # a Python float overflows to inf without numpy's warning; where beta^2
+    # underflows (beta = 0 among them) or overflows, the Gram route would
+    # divide 0 / 0 or inf / inf
     beta = float(beta)
     b2 = beta * beta
-    in_range = _TINY <= b2 < np.inf
-    threshold, b2 = (beta, b2) if in_range else (1.0, 1.0)
+    if not _TINY <= b2 < np.inf:
+        return SVTResult(*_svd_svt(a, beta))
     at = a.swapaxes(-1, -2)
     wide = a.shape[-2] <= a.shape[-1]
     lam, v = np.linalg.eigh(a @ at if wide else at @ a)
     # sqrt(beta * beta) is beta, so f is 0 exactly where lam <= beta^2
-    f = 1.0 - threshold / np.sqrt(np.maximum(lam, b2))
+    f = 1.0 - beta / np.sqrt(np.maximum(lam, b2))
     p = (v * f[..., None, :]) @ v.swapaxes(-1, -2)
     m = p @ a if wide else a @ p
     kept = lam > b2
     rank = np.count_nonzero(kept)
     # written so that NaN takes the SVD too
-    bound = _SQUARED_MAX * b2 if in_range else -np.inf
-    squared = ~(lam <= bound).all(axis=-1)
+    squared = ~(lam <= _SQUARED_MAX * b2).all(axis=-1)
     if squared.any():
-        u, s, vt = np.linalg.svd(a[squared], full_matrices=False)
-        shrunk = np.maximum(s - beta, 0.0)
-        m[squared] = (u * shrunk[..., None, :]) @ vt
-        rank += np.count_nonzero(shrunk) - np.count_nonzero(kept[squared])
+        m[squared], svd_rank = _svd_svt(a[squared], beta)
+        rank += svd_rank - np.count_nonzero(kept[squared])
     return SVTResult(matrix=m, effective_rank=int(rank))
 
 

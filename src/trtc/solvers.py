@@ -73,7 +73,6 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -134,7 +133,6 @@ class SolveReport:
     iterations: int
     stop_reason: str  # "tol", "collapsed" (stopped at tol, not converged) or "max_iters"
     rel_change_history: list
-    rse_history: Optional[list]
     final_x: np.ndarray
     final_cores: TRCores
     wall_time: float
@@ -186,7 +184,7 @@ def _checked_truth(truth, mask):
     return truth
 
 
-def _validate(observed, mask, cfg, truth=None):
+def _validate(observed, mask, cfg):
     observed = np.asarray(observed, dtype=float)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != observed.shape:
@@ -205,9 +203,7 @@ def _validate(observed, mask, cfg, truth=None):
         raise ValueError(
             f"rank vector of length {len(cfg.tr_rank)} incompatible with order-{observed.ndim} tensor"
         )
-    if truth is not None:
-        truth = _checked_truth(truth, mask)
-    return observed, mask, truth
+    return observed, mask
 
 
 class _Overlapped:
@@ -275,8 +271,8 @@ def init_state(observed, mask, cfg, model):
     return x, cores, groups
 
 
-def _solve(name, observed, mask, cfg, truth=None):
-    observed, mask, truth = _validate(observed, mask, cfg, truth)
+def _solve(name, observed, mask, cfg):
+    observed, mask = _validate(observed, mask, cfg)
     x, cores, groups = init_state(observed, mask, cfg, name)
     model = MODELS[name]
     mu = _MU0
@@ -305,14 +301,6 @@ def _solve(name, observed, mask, cfg, truth=None):
         n_missing += len(loc)
     # the change of x's missing entries, which the refill alone writes
     diff = np.empty(n_missing)
-    if truth is not None:
-        # the entries rse scores (_scored), gathered once in the order the
-        # loop holds x's: the missing entries, or every entry when none is;
-        # err holds the refilled entries' error
-        truth_flat = truth.reshape(-1, order="F")
-        truth_scored = truth_flat[missing] if n_missing else truth_flat
-        truth_norm = np.linalg.norm(truth_scored)
-        err = np.empty(n_missing)
     missing = None
     order = len(cores)
     # one data sweep for the whole solve, which builds its first suffix
@@ -321,7 +309,7 @@ def _solve(name, observed, mask, cfg, truth=None):
     terms = data_sweep(x, cores, _merge)
     slots = {n: (gi, j) for gi, grp in enumerate(groups) for j, n in enumerate(grp.members)}
 
-    rel_hist, rse_hist, cons_hist, iter_times, mu_hist = [], [], [], [], []
+    rel_hist, cons_hist, iter_times, mu_hist = [], [], [], []
     stop_reason = "max_iters"
     blowups = 0
     t_start = time.perf_counter()
@@ -379,18 +367,11 @@ def _solve(name, observed, mask, cfg, truth=None):
             zm = zc[loc]
             np.subtract(zm, xb[loc], out=diff[seg])
             xb[loc] = zm
-            if truth is not None:
-                np.subtract(zm, truth_scored[seg], out=err[seg])
         rel = float(np.linalg.norm(diff) / obs_norm)
         mu = min(_RHO * mu, _MU_MAX)
 
         rel_hist.append(rel)
         cons_hist.append(float(cons))
-        if truth is not None:
-            # with no entry missing x is the observed tensor, and a solve
-            # stops at its first iteration
-            scored = err if n_missing else x_flat - truth_scored
-            rse_hist.append(float(np.linalg.norm(scored) / truth_norm))
         iter_times.append(time.perf_counter() - t_iter)
 
         if not np.isfinite(rel) or rel > 1e3:
@@ -410,7 +391,6 @@ def _solve(name, observed, mask, cfg, truth=None):
         iterations=it,
         stop_reason=stop_reason,
         rel_change_history=rel_hist,
-        rse_history=rse_hist if truth is not None else None,
         final_x=x,
         final_cores=TRCores(tuple(cores)),
         wall_time=time.perf_counter() - t_start,
@@ -420,11 +400,11 @@ def _solve(name, observed, mask, cfg, truth=None):
     )
 
 
-def solve_olrf(observed, mask, cfg, truth=None):
+def solve_olrf(observed, mask, cfg):
     """Complete a partially observed tensor with the overlapped model."""
-    return _solve("olrf", observed, mask, cfg, truth)
+    return _solve("olrf", observed, mask, cfg)
 
 
-def solve_llrf(observed, mask, cfg, truth=None):
+def solve_llrf(observed, mask, cfg):
     """Complete a partially observed tensor with the latent model."""
-    return _solve("llrf", observed, mask, cfg, truth)
+    return _solve("llrf", observed, mask, cfg)

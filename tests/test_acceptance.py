@@ -186,7 +186,7 @@ def test_criterion_05_synthetic_recovery():
     results = {}
     ok = True
     for name, solver in SOLVERS:
-        rep = solver(obs, mask, SolverConfig(tr_rank=(4, 5, 4, 5), seed=0), truth=truth)
+        rep = solver(obs, mask, SolverConfig(tr_rank=(4, 5, 4, 5), seed=0))
         r = rse(rep.final_x, truth, "missing", mask)
         results[name] = (r, rep.iterations, rep.converged, rep.wall_time)
         ok = ok and rep.converged and rep.iterations <= 500 and r < 1e-2 and rep.wall_time < 60.0
@@ -223,7 +223,7 @@ def _mean_rse(solver, rank, lam, repeats=3, missing=0.7, iters=4000):
         truth, mask = synth_instance((10, 10, 10, 10), (4, 5, 4, 5), missing, j, std=0.5)
         obs = np.where(mask, truth, np.nan)
         cfg = SolverConfig(tr_rank=rank, lam=lam, max_iters=iters, seed=j)
-        rep = solver(obs, mask, cfg, truth=truth)
+        rep = solver(obs, mask, cfg)
         vals.append(rse(rep.final_x, truth, "missing", mask))
     return float(np.mean(vals))
 
@@ -315,7 +315,7 @@ def test_criterion_10_reshape_path():
         mask = mask7.reshape(shape, order="F")
         for name, solver in SOLVERS:
             cfg = SolverConfig(tr_rank=(3,) * len(shape), max_iters=5000, seed=2)
-            rep = solver(obs, mask, cfg, truth=truth)
+            rep = solver(obs, mask, cfg)
             r = rse(rep.final_x, truth, "missing", mask)
             ok = ok and rep.converged and r < 0.2
             details.append(f"order{len(shape)} {name} rse {r:.1e}{'' if rep.converged else ' (no conv)'}")

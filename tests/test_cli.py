@@ -133,6 +133,8 @@ def test_complete_reshape_rejects_bad_extents(tmp_path, extents):
     (["--shape", "4,4,4", "--rank", "2,2"], "rank vector of length 2"),
     (["--shape=-2,3", "--rank", "2,2"], "extent below 1"),
     (["--shape", "4,4,4", "--rank", "2,0,2"], "ranks must be positive"),
+    (["--shape", "4,4,4", "--rank", "2,2,2", "--missing-rate", "1.0"], r"missing rate must be in \[0, 1\)"),
+    (["--shape", "4,4,4", "--rank", "2,2,2", "--missing-rate=-0.1"], r"missing rate must be in \[0, 1\)"),
 ])
 def test_synth_bad_shape_or_rank_exits_with_message(tmp_path, argv, message):
     with pytest.raises(SystemExit, match=message):
@@ -273,6 +275,38 @@ def test_sweep_bad_grid_or_repeats_exits_with_message(tmp_path, argv, message):
         main(["sweep", *argv, "--shape", "4,4,4", "--rank", "2,2,2", "--max-iters", "5",
               "--out", f"{tmp_path}/s.csv"])
     assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_lambda_axis_solves_and_reports_each_lambda(monkeypatch):
+    seen = []
+    olrf = trtc.cli.SOLVERS["olrf"]
+
+    def spy(observed, mask, cfg):
+        seen.append(cfg.lam)
+        return olrf(observed, mask, cfg)
+
+    monkeypatch.setitem(trtc.cli.SOLVERS, "olrf", spy)
+    rows = run_sweep("lambda", [1.0, 100.0], (4, 4, 4), (2, 2, 2), 0.3, 10.0, ["olrf"],
+                     repeats=2, seed=0, max_iters=5)
+    assert seen == [1.0, 1.0, 100.0, 100.0]
+    assert [(r[0], r[1], r[2], r[7]) for r in rows] == [
+        ("lambda", 1.0, "olrf", 1.0), ("lambda", 100.0, "olrf", 100.0)]
+
+
+@pytest.mark.parametrize("axis,grid,solvers,message", [
+    pytest.param("foo", [], ["olrf"],
+                 "unknown sweep axis 'foo', expected one of missing-rate, rank, lambda", id="axis"),
+    pytest.param("missing-rate", [0.3], ["olrf", "xx"],
+                 "unknown solver 'xx', expected one of olrf, llrf", id="solver"),
+])
+def test_sweep_unknown_axis_or_solver_fails_before_the_first_solve(monkeypatch, axis, grid,
+                                                                   solvers, message):
+    def no_solve(*args):
+        raise AssertionError("a sweep with a bad argument ran a solve")
+
+    monkeypatch.setitem(trtc.cli.SOLVERS, "olrf", no_solve)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        run_sweep(axis, grid, (4, 4, 4), (2, 2, 2), 0.3, 10.0, solvers, repeats=1, seed=0)
 
 
 @pytest.mark.parametrize("iters", ["0", "-3"])

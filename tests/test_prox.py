@@ -85,6 +85,28 @@ def test_svt_negative_threshold_raises():
         svt(np.eye(3), float("nan"))
 
 
+@pytest.mark.parametrize("a", [np.ones(3), 2.0, np.ones(0)])
+def test_svt_rejects_a_non_matrix(a):
+    with pytest.raises(ValueError, match=r"\(\.\.\., m, n\), got shape"):
+        svt(a, 1.0)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e-170, 1e160, np.inf])
+def test_svt_goes_straight_to_the_svd_where_beta_squared_is_out_of_range(monkeypatch, beta):
+    # no eigendecomposition runs, so a stack whose Gram would overflow is
+    # thresholded too
+    a = np.random.default_rng(16).standard_normal((2, 4, 6)) * 1e200
+    want = svt(a / 1e200, beta / 1e200).matrix * 1e200
+
+    def no_eigh(*args):
+        raise AssertionError("the Gram route ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    res = svt(a, beta)
+    np.testing.assert_allclose(res.matrix, want, rtol=0, atol=1e-12 * np.abs(a).max())
+    assert res.effective_rank == (8 if beta < 1e200 else 0)
+
+
 def test_svt_nan_entry_raises_linalg_error():
     a = np.random.default_rng(13).standard_normal((2, 4, 6))
     a[1, 2, 3] = np.nan

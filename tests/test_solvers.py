@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import trtc.cli
 import trtc.prox
 import trtc.ring
 import trtc.solvers
@@ -19,9 +20,10 @@ from trtc import (
     solve_olrf,
     solve_llrf,
     rse,
+    write_tensor,
 )
 from trtc.ring import reconstruct, split_mode
-from trtc.solvers import init_state
+from trtc.solvers import _checked_truth, init_state
 from trtc.cli import synth_instance
 
 SOLVERS = [("olrf", solve_olrf), ("llrf", solve_llrf)]
@@ -147,14 +149,18 @@ def test_input_validation(monkeypatch):
     with pytest.raises(ValueError):
         solve_olrf(bad, mask, SolverConfig(tr_rank=(4, 5, 4, 5)))
 
-    # all-zero observed entries are rejected with the other input checks
+    # all-zero observed entries and a mask of another shape are rejected
+    # with the other input checks
     def no_state(*args):
-        raise AssertionError("all-zero observed entries reached init_state")
+        raise AssertionError("bad input reached init_state")
 
     monkeypatch.setattr(trtc.solvers, "init_state", no_state)
     for _, solver in SOLVERS:
         with pytest.raises(ValueError, match="observed entries are all zero"):
             solver(np.where(mask, 0.0, np.nan), mask, SolverConfig(tr_rank=(4, 5, 4, 5)))
+        for other in (mask[..., :9], mask.reshape(100, 100), mask[..., None]):
+            with pytest.raises(ValueError, match="^mask shape does not match tensor shape$"):
+                solver(obs, other, SolverConfig(tr_rank=(4, 5, 4, 5)))
 
 
 @pytest.mark.parametrize("scale,message", [
@@ -177,23 +183,45 @@ def test_zero_and_underflowing_observed_entries_are_told_apart(monkeypatch, scal
             solver(obs, mask, SolverConfig(tr_rank=(2, 2, 2)))
 
 
-@pytest.mark.parametrize("bad,message", [
+BAD_TRUTHS = [
     pytest.param(lambda t, m: t[:, :, :, :9], "truth shape", id="cut"),
     pytest.param(lambda t, m: t.reshape(100, 100), "truth shape", id="reshaped"),
     pytest.param(lambda t, m: np.where(t > 0.1, np.nan, t), "truth entries must be finite", id="nan"),
     pytest.param(lambda t, m: np.full_like(t, np.inf), "truth entries must be finite", id="inf"),
     pytest.param(lambda t, m: np.where(m, t, 0.0), "zero norm on the scored entries", id="zero-on-missing"),
-])
+]
+
+
+@pytest.mark.parametrize("bad,message", BAD_TRUTHS)
+def test_checked_truth_names_what_cannot_score(bad, message):
+    truth, mask, _ = order4_instance()
+    with pytest.raises(ValueError, match=message):
+        _checked_truth(bad(truth, mask), mask)
+
+
+@pytest.mark.parametrize("bad,message", BAD_TRUTHS)
 @pytest.mark.parametrize("name,solver", SOLVERS)
-def test_truth_checked_before_the_first_iteration(monkeypatch, name, solver, bad, message):
+def test_truth_checked_before_the_first_iteration(tmp_path, monkeypatch, name, solver, bad, message):
+    # the solvers take no truth; trtc complete, which scores the final
+    # tensor with one, rejects a truth that cannot score it before the
+    # solve and writes no file (a NaN truth is rejected as it is read)
     truth, mask, obs = order4_instance()
+    bad_truth = bad(truth, mask)
+    write_tensor(obs, tmp_path / "obs.trtc")
+    write_tensor(bad_truth, tmp_path / "truth.trtc")
 
     def no_state(*args):
         raise AssertionError("a bad truth reached init_state")
 
     monkeypatch.setattr(trtc.solvers, "init_state", no_state)
-    with pytest.raises(ValueError, match=message):
-        solver(obs, mask, SolverConfig(tr_rank=(4, 5, 4, 5)), truth=bad(truth, mask))
+    assert trtc.cli.SOLVERS[name] is solver
+    if np.isnan(bad_truth).any():
+        message = "NaN entries present in a ground-truth context"
+    with pytest.raises(SystemExit, match=message):
+        trtc.cli.main(["complete", "--in", str(tmp_path / "obs.trtc"),
+                       "--truth", str(tmp_path / "truth.trtc"), "--solver", name,
+                       "--rank", "4,5,4,5", "--out", str(tmp_path / "fit")])
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["obs.trtc", "truth.trtc"]
 
 
 @pytest.mark.parametrize("name,solver", SOLVERS)
@@ -307,23 +335,22 @@ def observed_first_range(truth, mask):
 REFILL_CASES = [
     # (4, 3, 5) splits into 12 rows and 5 columns: two-column ranges would
     # leave a one-column last range
-    pytest.param((4, 3, 5), (2, 2, 2), 0.3, None, True, "max_iters", id="odd-columns-truth"),
-    pytest.param((4, 3, 5), (2, 2, 2), 0.3, observed_first_range, False, "max_iters",
-                 id="observed-range"),
-    pytest.param((4, 3, 5), (2, 2, 2), 0.0, None, True, "tol", id="fully-observed"),
-    pytest.param((3, 2, 3, 2, 3, 2), (2,) * 6, 0.5, None, False, "collapsed", id="collapsing-323232"),
+    pytest.param((4, 3, 5), (2, 2, 2), 0.3, None, "max_iters", id="odd-columns"),
+    pytest.param((4, 3, 5), (2, 2, 2), 0.3, observed_first_range, "max_iters", id="observed-range"),
+    pytest.param((4, 3, 5), (2, 2, 2), 0.0, None, "tol", id="fully-observed"),
+    pytest.param((3, 2, 3, 2, 3, 2), (2,) * 6, 0.5, None, "collapsed", id="collapsing-323232"),
 ]
 
 
 def report_bytes(rep):
     return (rep.final_x.tobytes(order="F"), rep.rel_change_history, rep.consistency_history,
-            rep.rse_history, rep.mu_history, rep.iterations, rep.stop_reason)
+            rep.mu_history, rep.iterations, rep.stop_reason)
 
 
-@pytest.mark.parametrize("shape,rank,missing_rate,tweak,with_truth,stop", REFILL_CASES)
+@pytest.mark.parametrize("shape,rank,missing_rate,tweak,stop", REFILL_CASES)
 @pytest.mark.parametrize("name,solver", SOLVERS)
 def test_blocked_refill_is_the_one_block_refill(monkeypatch, name, solver, shape, rank,
-                                                missing_rate, tweak, with_truth, stop):
+                                                missing_rate, tweak, stop):
     # the reconstruction is formed and refilled in column ranges; a plan of
     # two-column ranges (_BLOCK of one entry) and a plan of one range give
     # the same solve byte for byte, with one trace contraction per range
@@ -345,11 +372,10 @@ def test_blocked_refill_is_the_one_block_refill(monkeypatch, name, solver, shape
     for block in (1, 2 ** 62):
         monkeypatch.setattr(trtc.solvers, "_BLOCK", block)
         calls.clear()
-        reports.append(solver(obs, mask, cfg, truth=truth if with_truth else None))
+        reports.append(solver(obs, mask, cfg))
         widths.append(list(calls))
     small, whole = reports
     assert report_bytes(small) == report_bytes(whole)
-    assert (small.rse_history is not None) == with_truth
     assert small.stop_reason == stop
     # the last range takes the odd column
     _, cols = refill_columns(shape)
@@ -395,15 +421,12 @@ def test_synthetic_recovery_and_consistency(name, solver):
     # half the entries removed, solved at the generating rank
     truth, mask, obs = order4_instance(0.5, 0)
     cfg = SolverConfig(tr_rank=(4, 5, 4, 5), seed=0)
-    rep = solver(obs, mask, cfg, truth=truth)
+    rep = solver(obs, mask, cfg)
     assert rep.converged and rep.iterations <= 500
     assert rep.stop_reason == "tol"
     assert rse(rep.final_x, truth, "missing", mask) < 1e-2
     # splitting variables agree with the cores once converged
     assert rep.consistency_history[-1] < 1e-3
-    assert rep.rse_history is not None
-    assert len(rep.rse_history) == rep.iterations
-    assert rep.rse_history[-1] < 1e-2
     # mu starts at 1 and grows to its cap of 100, which the olrf solve
     # (466 iterations) reaches from index 463 on
     mus = rep.mu_history
@@ -417,7 +440,6 @@ def test_synthetic_recovery_and_consistency(name, solver):
 def test_report_histories_without_truth():
     truth, mask, obs = order4_instance()
     rep = solve_llrf(obs, mask, SolverConfig(tr_rank=(4, 5, 4, 5), max_iters=5))
-    assert rep.rse_history is None
     assert len(rep.rel_change_history) == 5
     assert len(rep.iter_times) == 5
     assert rep.wall_time > 0
@@ -460,7 +482,7 @@ def test_order_six_instance_latent_tracks_overlapped():
     out = {}
     for name, solver in SOLVERS:
         cfg = SolverConfig(tr_rank=(4,) * 6, max_iters=2000, seed=0)
-        rep = solver(obs, mask, cfg, truth=truth)
+        rep = solver(obs, mask, cfg)
         assert rep.converged
         out[name] = rse(rep.final_x, truth, "missing", mask)
     assert out["llrf"] < 2.0 * out["olrf"]
@@ -643,7 +665,7 @@ def test_lambda_choices_all_recover():
     for lam in (1.0, 10.0, 100.0):
         for name, solver in SOLVERS:
             cfg = SolverConfig(tr_rank=(4, 5, 4, 5), lam=lam, max_iters=4000, seed=0)
-            rep = solver(obs, mask, cfg, truth=truth)
+            rep = solver(obs, mask, cfg)
             r = rse(rep.final_x, truth, "missing", mask)
             assert r < 5e-2, f"{name} lam={lam}: rse {r:.3e}"
 
@@ -653,8 +675,8 @@ def test_overspecified_uniform_rank_stays_close():
     truth, mask = synth_instance((10, 10, 10, 10), (4, 5, 4, 5), 0.7, 0, std=0.5)
     obs = np.where(mask, truth, np.nan)
     for name, solver in SOLVERS:
-        base = solver(obs, mask, SolverConfig(tr_rank=(4, 5, 4, 5), max_iters=4000, seed=0), truth=truth)
-        over = solver(obs, mask, SolverConfig(tr_rank=(6, 6, 6, 6), max_iters=4000, seed=0), truth=truth)
+        base = solver(obs, mask, SolverConfig(tr_rank=(4, 5, 4, 5), max_iters=4000, seed=0))
+        over = solver(obs, mask, SolverConfig(tr_rank=(6, 6, 6, 6), max_iters=4000, seed=0))
         r_base = rse(base.final_x, truth, "missing", mask)
         r_over = rse(over.final_x, truth, "missing", mask)
         assert r_over < 3.0 * r_base, f"{name}: {r_over:.3e} vs {r_base:.3e}"
