@@ -17,6 +17,7 @@ independent experiment.
 
 import argparse
 import csv
+import dataclasses
 import math
 import statistics
 import sys
@@ -35,6 +36,12 @@ _STD = 0.5
 
 # ---------------------------------------------------------------- synthesis
 
+def _check_missing_rate(rate):
+    # written so that NaN fails the check
+    if not 0.0 <= rate < 1.0:
+        raise ValueError("missing rate must be in [0, 1)")
+
+
 def synth_instance(shape, ranks, missing_rate, seed, std=_STD):
     """Random TR tensor and observation mask.
 
@@ -48,8 +55,7 @@ def synth_instance(shape, ranks, missing_rate, seed, std=_STD):
         raise ValueError(f"rank vector of length {len(ranks)} does not match order {len(shape)}")
     if min(shape) < 1:
         raise ValueError(f"shape {shape} has an extent below 1")
-    if not 0.0 <= missing_rate < 1.0:
-        raise ValueError("missing rate must be in [0, 1)")
+    _check_missing_rate(missing_rate)
     if not 0.0 < std < math.inf:
         raise ValueError("std must be positive and finite")
     n = len(shape)
@@ -167,31 +173,33 @@ def run_sweep(axis, grid, shape, gen_rank, missing_rate, lam, solver_names,
             raise ValueError(f"unknown solver {solver!r}, expected one of {', '.join(SOLVERS)}")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if axis == "rank":
-        # a float rank would be truncated
-        for value in grid:
-            if not float(value).is_integer():
-                raise ValueError(f"rank grid value {value} is not an integer")
-    rows = []
+    # every point's missing rate and solver configuration
+    points = []
     for value in grid:
+        # a float rank would be truncated
+        if axis == "rank" and not float(value).is_integer():
+            raise ValueError(f"rank grid value {value} is not an integer")
         rate = float(value) if axis == "missing-rate" else missing_rate
+        _check_missing_rate(rate)
         solve_rank = (int(value),) * len(shape) if axis == "rank" else tuple(gen_rank)
-        lam_here = float(value) if axis == "lambda" else lam
+        cfg = SolverConfig(tr_rank=solve_rank, lam=float(value) if axis == "lambda" else lam,
+                           tol=tol, max_iters=max_iters, seed=seed)
+        points.append((value, rate, solve_rank, cfg))
+    rows = []
+    for value, rate, solve_rank, cfg in points:
         for solver in solver_names:
             rses, iters, conv = [], [], 0
             for j in range(repeats):
                 run_seed = seed + j
                 truth, mask = synth_instance(shape, gen_rank, rate, run_seed, std)
                 observed = np.where(mask, truth, np.nan)
-                cfg = SolverConfig(tr_rank=solve_rank, lam=lam_here, tol=tol,
-                                   max_iters=max_iters, seed=run_seed)
-                report = SOLVERS[solver](observed, mask, cfg)
+                report = SOLVERS[solver](observed, mask, dataclasses.replace(cfg, seed=run_seed))
                 rses.append(rse(report.final_x, truth, "missing", mask))
                 iters.append(report.iterations)
                 conv += int(report.converged)
             rows.append([
                 axis, value, solver, _xjoin(shape), _xjoin(gen_rank), _xjoin(solve_rank),
-                rate, lam_here, repeats,
+                rate, cfg.lam, repeats,
                 statistics.fmean(rses),
                 statistics.pstdev(rses),
                 statistics.fmean(iters),
@@ -217,16 +225,15 @@ def cmd_sweep(args):
     return 0
 
 
-def bench_point(order, extent, rank, solver, iters, seed):
+def bench_point(extent, solver, cfg):
     """Median/mean seconds per iteration on one synthetic instance, half missing.
 
-    Runs iters+1 iterations and drops the first (warm-up) before averaging.
+    The instance has cfg's rank, extent in every mode and cfg's seed. Runs
+    cfg.max_iters iterations and drops the first (warm-up) before averaging.
     """
-    shape = (extent,) * order
-    ranks = (rank,) * order
-    truth, mask = synth_instance(shape, ranks, 0.5, seed)
+    ranks = cfg.tr_rank.ranks
+    truth, mask = synth_instance((extent,) * len(ranks), ranks, 0.5, cfg.seed)
     observed = np.where(mask, truth, np.nan)
-    cfg = SolverConfig(tr_rank=ranks, tol=1e-12, max_iters=iters + 1, seed=seed)
     report = SOLVERS[solver](observed, mask, cfg)
     times = report.iter_times[1:] or report.iter_times
     return float(np.median(times)), float(np.mean(times))
@@ -237,13 +244,15 @@ def run_bench(orders, extent, rank, rank_grid, rank_axis_order, solver, iters, s
     # would be timed instead
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
+    points = [("order", order, rank) for order in orders]
+    points += [("rank", rank_axis_order, r) for r in rank_grid]
+    # every point's configuration, checked before the first solve too
+    configs = [SolverConfig(tr_rank=(r,) * order, tol=1e-12, max_iters=iters + 1, seed=seed)
+               for _, order, r in points]
     rows = []
-    for order in orders:
-        med, mean = bench_point(order, extent, rank, solver, iters, seed)
-        rows.append(["order", order, extent, rank, solver, iters, med, mean])
-    for r in rank_grid:
-        med, mean = bench_point(rank_axis_order, extent, r, solver, iters, seed)
-        rows.append(["rank", rank_axis_order, extent, r, solver, iters, med, mean])
+    for (axis, order, r), cfg in zip(points, configs):
+        med, mean = bench_point(extent, solver, cfg)
+        rows.append([axis, order, extent, r, solver, iters, med, mean])
     return rows
 
 

@@ -78,11 +78,12 @@ def svt(a, beta):
     (V f V^T) a, or a (V f V^T) for a tall matrix. Squaring costs about
     eps * s_max / beta of accuracy relative to s_max, so a matrix with an
     eigenvalue above _SQUARED_MAX * beta^2 (s_max / beta > 1e4), or one not
-    finite, is thresholded through its SVD instead, as is every matrix when
-    beta^2 underflows or overflows: beta = 0 gives the SVD product, the
-    identity to rounding, a beta whose square overflows (inf among them)
-    gives zeros, and NaN input raises LinAlgError. Each matrix takes its
-    route alone, so stacking changes no bit of its result.
+    finite, or a finite one whose Gram overflows, is thresholded through its
+    SVD instead, as is every matrix when beta^2 underflows or overflows:
+    beta = 0 gives the SVD product, the identity to rounding, a beta whose
+    square overflows (inf among them) gives zeros, and NaN input raises
+    LinAlgError. Each matrix takes its route alone, so stacking changes no
+    bit of its result.
     """
     # written so that NaN fails the check
     if not beta >= 0:
@@ -99,7 +100,16 @@ def svt(a, beta):
         return SVTResult(*_svd_svt(a, beta))
     at = a.swapaxes(-1, -2)
     wide = a.shape[-2] <= a.shape[-1]
-    lam, v = np.linalg.eigh(a @ at if wide else at @ a)
+    gram = a @ at if wide else at @ a
+    try:
+        lam, v = np.linalg.eigh(gram)
+        overflow = False
+    except np.linalg.LinAlgError:
+        # a finite matrix whose Gram overflows takes the SVD; NaN input
+        # raises again from the second eigh
+        overflow = ~np.isfinite(gram).all(axis=(-2, -1)) & np.isfinite(a).all(axis=(-2, -1))
+        gram[overflow] = 0.0
+        lam, v = np.linalg.eigh(gram)
     # sqrt(beta * beta) is beta, so f is 0 exactly where lam <= beta^2
     f = 1.0 - beta / np.sqrt(np.maximum(lam, b2))
     p = (v * f[..., None, :]) @ v.swapaxes(-1, -2)
@@ -107,7 +117,7 @@ def svt(a, beta):
     kept = lam > b2
     rank = np.count_nonzero(kept)
     # written so that NaN takes the SVD too
-    squared = ~(lam <= _SQUARED_MAX * b2).all(axis=-1)
+    squared = ~(lam <= _SQUARED_MAX * b2).all(axis=-1) | overflow
     if squared.any():
         m[squared], svd_rank = _svd_svt(a[squared], beta)
         rank += svd_rank - np.count_nonzero(kept[squared])

@@ -61,12 +61,11 @@ The reconstruction z, first index fastest, is the (rows, cols) product of
 the two halves, and the loop never forms it whole: it contracts the halves
 one range of z's columns (about _BLOCK entries) at a time and, while the
 range is in cache, writes its missing entries into x in place, through
-x's flat first-index-fastest view. The ranges and their missing entries'
-offsets are computed once per solve. The observed entries of x never
-change, so the relative change is taken over the missing entries alone:
-each range writes their change into its segment of one buffer, whose norm
-is then the same dot over the same values as a whole-z refill's. No array
-of the tensor's size but x lives through an iteration.
+x's flat first-index-fastest view, and adds their squared change to a
+running sum, as it adds its squared entries to z's. The observed entries
+of x never change, so that sum is the relative change's. Besides x, the
+loop keeps only the missing entries' offsets, computed once per solve,
+from one iteration to the next.
 """
 
 import math
@@ -279,12 +278,11 @@ def _solve(name, observed, mask, cfg):
 
     obs_norm = np.linalg.norm(x)
     x_flat = x.reshape(-1, order="F")
-    # the refill's plan: z's columns go in ranges of about _BLOCK entries,
-    # each with x's slice, the offsets of its missing entries in that slice
-    # and its segment of the missing entries. A product of one row or one
-    # column is a gemv, whose bits differ from the gemm's and depend on its
-    # width: every range has two columns or more, and a z of one row is a
-    # single range, so the ranges are the whole product bit for bit
+    # the refill's plan: z's columns in ranges of about _BLOCK entries, each
+    # with x's slice and its missing entries' offsets there. A product of one
+    # row or one column is a gemv, whose bits differ from the gemm's and
+    # depend on its width: every range has two columns or more, and a z of
+    # one row is a single range, so the ranges are the whole product bit for bit
     rows = math.prod(x.shape[:split_mode(x.shape)])
     cols = x.size // rows
     width = cols if rows == 1 else min(cols, max(2, _BLOCK // rows))
@@ -293,14 +291,10 @@ def _solve(name, observed, mask, cfg):
         edges.pop()
     edges.append(cols)
     missing = ~mask.ravel(order="F")
-    blocks, n_missing = [], 0
-    for k0, k1 in zip(edges, edges[1:]):
-        loc = np.flatnonzero(missing[k0 * rows:k1 * rows])
-        seg = slice(n_missing, n_missing + len(loc))
-        blocks.append((slice(k0, k1), x_flat[k0 * rows:k1 * rows], loc, seg))
-        n_missing += len(loc)
-    # the change of x's missing entries, which the refill alone writes
-    diff = np.empty(n_missing)
+    blocks = [
+        (slice(k0, k1), x_flat[k0 * rows:k1 * rows], np.flatnonzero(missing[k0 * rows:k1 * rows]))
+        for k0, k1 in zip(edges, edges[1:])
+    ]
     missing = None
     order = len(cores)
     # one data sweep for the whole solve, which builds its first suffix
@@ -358,16 +352,17 @@ def _solve(name, observed, mask, cfg):
 
         # the halves contracted as in ring.reconstruct, range by range, so
         # final_x off the mask is reconstruct(final_cores) bit for bit; the
-        # observed entries of x stay put, and the collapse test reads z's
-        # norm from the ranges
-        z_sq = 0.0
-        for ks, xb, loc, seg in blocks:
+        # observed entries of x stay put, and the collapse test and the
+        # relative change read their sums of squares from the ranges
+        z_sq = d_sq = 0.0
+        for ks, xb, loc in blocks:
             zc = _trace_contract(prefix, suffix[:, ks]).reshape(-1, order="F")
             z_sq += zc @ zc
-            zm = zc[loc]
-            np.subtract(zm, xb[loc], out=diff[seg])
+            zm, d = zc[loc], xb[loc]
+            np.subtract(zm, d, out=d)
+            d_sq += d @ d
             xb[loc] = zm
-        rel = float(np.linalg.norm(diff) / obs_norm)
+        rel = float(np.sqrt(d_sq) / obs_norm)
         mu = min(_RHO * mu, _MU_MAX)
 
         rel_hist.append(rel)

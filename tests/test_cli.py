@@ -293,6 +293,10 @@ def test_sweep_lambda_axis_solves_and_reports_each_lambda(monkeypatch):
         ("lambda", 1.0, "olrf", 1.0), ("lambda", 100.0, "olrf", 100.0)]
 
 
+def no_solve(*args):
+    raise AssertionError("a sweep or bench with a bad argument ran a solve")
+
+
 @pytest.mark.parametrize("axis,grid,solvers,message", [
     pytest.param("foo", [], ["olrf"],
                  "unknown sweep axis 'foo', expected one of missing-rate, rank, lambda", id="axis"),
@@ -301,12 +305,35 @@ def test_sweep_lambda_axis_solves_and_reports_each_lambda(monkeypatch):
 ])
 def test_sweep_unknown_axis_or_solver_fails_before_the_first_solve(monkeypatch, axis, grid,
                                                                    solvers, message):
-    def no_solve(*args):
-        raise AssertionError("a sweep with a bad argument ran a solve")
-
     monkeypatch.setitem(trtc.cli.SOLVERS, "olrf", no_solve)
     with pytest.raises(ValueError, match=f"^{message}"):
         run_sweep(axis, grid, (4, 4, 4), (2, 2, 2), 0.3, 10.0, solvers, repeats=1, seed=0)
+
+
+@pytest.mark.parametrize("axis,grid,message", [
+    pytest.param("missing-rate", [0.3, 1.0], r"missing rate must be in \[0, 1\)", id="rate"),
+    pytest.param("missing-rate", [0.3, float("nan")], r"missing rate must be in \[0, 1\)",
+                 id="rate-nan"),
+    pytest.param("lambda", [1.0, -1.0], "lam must be positive and finite", id="lambda"),
+    pytest.param("lambda", [1.0, float("nan")], "lam must be positive and finite", id="lambda-nan"),
+    pytest.param("rank", [2, 0], "ranks must be positive", id="rank"),
+])
+def test_sweep_checks_every_point_before_the_first_solve(monkeypatch, axis, grid, message):
+    monkeypatch.setitem(trtc.cli.SOLVERS, "olrf", no_solve)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_sweep(axis, grid, (4, 4, 4), (2, 2, 2), 0.3, 10.0, ["olrf"], repeats=2, seed=0)
+
+
+@pytest.mark.parametrize("orders,rank_grid,message", [
+    pytest.param((3, 1), (2,), "TR-rank needs at least two entries", id="order"),
+    pytest.param((3,), (2, 0), "ranks must be positive", id="rank"),
+    pytest.param((3,), (2.5,), "rank 2.5 is not an integer", id="float-rank"),
+])
+def test_bench_checks_every_point_before_the_first_solve(monkeypatch, orders, rank_grid, message):
+    monkeypatch.setitem(trtc.cli.SOLVERS, "olrf", no_solve)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_bench(orders=orders, extent=4, rank=2, rank_grid=rank_grid,
+                  rank_axis_order=3, solver="olrf", iters=1, seed=0)
 
 
 @pytest.mark.parametrize("iters", ["0", "-3"])

@@ -11,7 +11,7 @@ from trtc import (
     core_update_llrf,
     reconstruct,
 )
-from trtc.prox import ridge_solve
+from trtc.prox import _svd_svt, ridge_solve
 from trtc.ring import subchain, subchain_gram
 from trtc.tensors import gamma_unfold, delta_unfold
 
@@ -135,6 +135,30 @@ def test_svt_beyond_the_largest_singular_value_is_zero_when_beta_squared_overflo
     a[0, 0] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
         svt(a, beta)
+
+
+# the Gram's matmul overflows on the way, which numpy reports
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+@pytest.mark.parametrize("beta", [1e-10, 0.01, 1.0, 10.0])
+@pytest.mark.parametrize("shape", [(3, 4, 6), (5, 3), (2, 6, 4)])
+def test_svt_takes_the_svd_where_a_finite_gram_overflows(shape, beta):
+    # entries around 1e200 square past the largest float at an in-range
+    # beta: those matrices get the SVD's bytes, the others keep theirs
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal(shape) * 1e200
+    res = svt(a, beta)
+    matrix, rank = _svd_svt(a, beta)
+    assert res.matrix.tobytes() == matrix.tobytes()
+    assert res.effective_rank == rank
+    mixed = np.stack([rng.standard_normal(shape[-2:]), a.reshape((-1,) + shape[-2:])[0]])
+    res = svt(mixed, beta)
+    alone = svt(mixed[0], beta)
+    assert res.matrix[0].tobytes() == alone.matrix.tobytes()
+    assert res.matrix[1].tobytes() == _svd_svt(mixed[1], beta)[0].tobytes()
+    assert res.effective_rank == alone.effective_rank + _svd_svt(mixed[1], beta)[1]
+    mixed[0, 0, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        svt(mixed, beta)
 
 
 @pytest.mark.parametrize("ratio,through_svd", [(0.999e4, 0), (1.001e4, 1), (np.inf, 3)])

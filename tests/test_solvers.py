@@ -343,7 +343,8 @@ REFILL_CASES = [
 
 
 def report_bytes(rep):
-    return (rep.final_x.tobytes(order="F"), rep.rel_change_history, rep.consistency_history,
+    # every report field but the relative change
+    return (rep.final_x.tobytes(order="F"), rep.consistency_history,
             rep.mu_history, rep.iterations, rep.stop_reason)
 
 
@@ -354,7 +355,8 @@ def test_blocked_refill_is_the_one_block_refill(monkeypatch, name, solver, shape
     # the reconstruction is formed and refilled in column ranges; a plan of
     # two-column ranges (_BLOCK of one entry) and a plan of one range give
     # the same solve byte for byte, with one trace contraction per range
-    # and iteration
+    # and iteration. The relative change is a sum over the ranges of their
+    # squared changes, so the grouping of that sum may move its last bit
     truth, mask = synth_instance(shape, rank, missing_rate, 0)
     if tweak:
         truth, mask = tweak(truth, mask)
@@ -376,6 +378,7 @@ def test_blocked_refill_is_the_one_block_refill(monkeypatch, name, solver, shape
         widths.append(list(calls))
     small, whole = reports
     assert report_bytes(small) == report_bytes(whole)
+    np.testing.assert_allclose(small.rel_change_history, whole.rel_change_history, rtol=1e-14)
     assert small.stop_reason == stop
     # the last range takes the odd column
     _, cols = refill_columns(shape)
@@ -397,10 +400,10 @@ def test_final_x_off_the_mask_is_reconstruct_of_final_cores(monkeypatch, name, s
 
 
 @pytest.mark.parametrize("name,solver", SOLVERS)
-def test_loop_memory_stays_below_three_tensors(name, solver):
+def test_loop_memory_stays_below_two_and_a_half_tensors(name, solver):
     # the loop holds no array of the tensor's size but x: per iteration it
     # forms z one column range at a time (about _BLOCK entries), and per
-    # solve it keeps the offsets and the change of the missing entries
+    # solve it keeps only the offsets of the missing entries
     shape = (6,) * 7
     truth, mask = synth_instance(shape, (2,) * 7, 0.5, 0)
     rows, cols = refill_columns(shape)
@@ -413,7 +416,7 @@ def test_loop_memory_stays_below_three_tensors(name, solver):
     finally:
         tracemalloc.stop()
     assert rep.iterations == 3
-    assert peak < 3 * rep.final_x.nbytes, peak / rep.final_x.nbytes
+    assert peak < 2.5 * rep.final_x.nbytes, peak / rep.final_x.nbytes
 
 
 @pytest.mark.parametrize("name,solver", SOLVERS)
