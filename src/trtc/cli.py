@@ -19,6 +19,7 @@ import argparse
 import csv
 import dataclasses
 import math
+import os
 import statistics
 import sys
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .io import TensorFileError, read_tensor, write_tensor
 from .ring import TRRank, reconstruct
-from .solvers import DivergenceError, SolverConfig, _checked_truth, rse, solve_llrf, solve_olrf
+from .solvers import DivergenceError, SolverConfig, _check_seed, _checked_truth, rse, solve_llrf, solve_olrf
 
 SOLVERS = {"olrf": solve_olrf, "llrf": solve_llrf}
 SWEEP_AXES = ("missing-rate", "rank", "lambda")
@@ -40,6 +41,11 @@ def _check_missing_rate(rate):
     # written so that NaN fails the check
     if not 0.0 <= rate < 1.0:
         raise ValueError("missing rate must be in [0, 1)")
+
+
+def _check_solver(name):
+    if name not in SOLVERS:
+        raise ValueError(f"unknown solver {name!r}, expected one of {', '.join(SOLVERS)}")
 
 
 def synth_instance(shape, ranks, missing_rate, seed, std=_STD):
@@ -56,6 +62,7 @@ def synth_instance(shape, ranks, missing_rate, seed, std=_STD):
     if min(shape) < 1:
         raise ValueError(f"shape {shape} has an extent below 1")
     _check_missing_rate(missing_rate)
+    _check_seed(seed)
     if not 0.0 < std < math.inf:
         raise ValueError("std must be positive and finite")
     n = len(shape)
@@ -169,8 +176,7 @@ def run_sweep(axis, grid, shape, gen_rank, missing_rate, lam, solver_names,
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}, expected one of {', '.join(SWEEP_AXES)}")
     for solver in solver_names:
-        if solver not in SOLVERS:
-            raise ValueError(f"unknown solver {solver!r}, expected one of {', '.join(SOLVERS)}")
+        _check_solver(solver)
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     # every point's missing rate and solver configuration
@@ -242,6 +248,7 @@ def bench_point(extent, solver, cfg):
 def run_bench(orders, extent, rank, rank_grid, rank_axis_order, solver, iters, seed):
     # checked before the first solve: with no timed iteration the warm-up
     # would be timed instead
+    _check_solver(solver)
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     points = [("order", order, rank) for order in orders]
@@ -333,6 +340,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        # every subcommand writes under --out: its directory is checked before any work
+        if not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ValueError(f"the directory of --out {args.out} does not exist")
         return args.func(args)
     except (OSError, ValueError, TensorFileError, DivergenceError) as e:
         raise SystemExit(str(e)) from e

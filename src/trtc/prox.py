@@ -103,24 +103,24 @@ def svt(a, beta):
     gram = a @ at if wide else at @ a
     try:
         lam, v = np.linalg.eigh(gram)
-        overflow = False
     except np.linalg.LinAlgError:
-        # a finite matrix whose Gram overflows takes the SVD; NaN input
-        # raises again from the second eigh
+        # a finite matrix whose Gram overflows gets NaN eigenvalues, which
+        # send it to the SVD below; NaN input raises again from the second eigh
         overflow = ~np.isfinite(gram).all(axis=(-2, -1)) & np.isfinite(a).all(axis=(-2, -1))
         gram[overflow] = 0.0
         lam, v = np.linalg.eigh(gram)
+        lam[overflow] = np.nan
     # sqrt(beta * beta) is beta, so f is 0 exactly where lam <= beta^2
     f = 1.0 - beta / np.sqrt(np.maximum(lam, b2))
     p = (v * f[..., None, :]) @ v.swapaxes(-1, -2)
     m = p @ a if wide else a @ p
-    kept = lam > b2
-    rank = np.count_nonzero(kept)
-    # written so that NaN takes the SVD too
-    squared = ~(lam <= _SQUARED_MAX * b2).all(axis=-1) | overflow
+    # written so that NaN takes the SVD too; an inf mark would not, as
+    # _SQUARED_MAX * b2 is inf itself for beta above about 1.3e150
+    squared = ~(lam <= _SQUARED_MAX * b2).all(axis=-1)
+    rank = np.count_nonzero((lam > b2)[~squared])
     if squared.any():
         m[squared], svd_rank = _svd_svt(a[squared], beta)
-        rank += svd_rank - np.count_nonzero(kept[squared])
+        rank += svd_rank
     return SVTResult(matrix=m, effective_rank=int(rank))
 
 

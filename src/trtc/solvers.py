@@ -74,6 +74,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy loads numpy.random on first use: imported here, it loads with the package
+from numpy.random import default_rng
 
 from .tensors import gamma_unfold, gamma_fold
 from .ring import TRCores, TRRank, _merge, _trace_contract, data_sweep, split_mode
@@ -96,6 +98,12 @@ class DivergenceError(RuntimeError):
     """Raised when the iteration blows up instead of converging."""
 
 
+def _check_seed(seed):
+    # numpy integers pass; a float, even an integral one, does not
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+
+
 @dataclass
 class SolverConfig:
     tr_rank: TRRank
@@ -115,8 +123,7 @@ class SolverConfig:
         # numpy integers pass; a float, even an integral one, does not
         if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
             raise ValueError("max_iters must be an integer >= 1")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -252,7 +259,7 @@ def init_state(observed, mask, cfg, model):
     shape = observed.shape
     ranks = cfg.tr_rank.ranks
     n_modes = len(shape)
-    rng = np.random.default_rng(cfg.seed)
+    rng = default_rng(cfg.seed)
     cores = [
         rng.standard_normal((ranks[i], shape[i], ranks[(i + 1) % n_modes]))
         for i in range(n_modes)
@@ -285,11 +292,8 @@ def _solve(name, observed, mask, cfg):
     # one row is a single range, so the ranges are the whole product bit for bit
     rows = math.prod(x.shape[:split_mode(x.shape)])
     cols = x.size // rows
-    width = cols if rows == 1 else min(cols, max(2, _BLOCK // rows))
-    edges = list(range(0, cols, width))
-    if len(edges) > 1 and cols - edges[-1] == 1:
-        edges.pop()
-    edges.append(cols)
+    width = cols if rows == 1 else max(2, _BLOCK // rows)
+    edges = [*range(0, max(cols - 1, 1), width), cols]
     missing = ~mask.ravel(order="F")
     blocks = [
         (slice(k0, k1), x_flat[k0 * rows:k1 * rows], np.flatnonzero(missing[k0 * rows:k1 * rows]))
@@ -369,14 +373,12 @@ def _solve(name, observed, mask, cfg):
         cons_hist.append(float(cons))
         iter_times.append(time.perf_counter() - t_iter)
 
-        if not np.isfinite(rel) or rel > 1e3:
-            blowups += 1
-            if blowups >= 10:
-                raise DivergenceError(
-                    f"{name} relative change above 1e3 for 10 consecutive iterations (iteration {it})"
-                )
-        else:
-            blowups = 0
+        # written so that NaN and inf count as blow-ups
+        blowups = 0 if rel <= 1e3 else blowups + 1
+        if blowups >= 10:
+            raise DivergenceError(
+                f"{name} relative change above 1e3 for 10 consecutive iterations (iteration {it})"
+            )
 
         if rel < cfg.tol:
             stop_reason = "tol" if np.sqrt(z_sq) > _COLLAPSE * obs_norm else "collapsed"

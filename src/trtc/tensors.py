@@ -17,24 +17,19 @@ def _check_mode(ndim, n):
         raise ValueError(f"mode {n} out of range for order-{ndim} tensor")
 
 
-@lru_cache(maxsize=None)
-def _to_front(ndim, k):
-    # for a stack of order-ndim tensors along a leading axis: axis k of each
-    # tensor first, its others in natural order, and the stack axis last,
-    # where a first-index-fastest reshape keeps it whole; and the inverse
-    perm = (k + 1,) + tuple(range(1, k + 1)) + tuple(range(k + 2, ndim + 1)) + (0,)
-    return perm, tuple(perm.index(i) for i in range(ndim + 1))
-
-
 @lru_cache(maxsize=1024)
-def _fold_targets(shape, k):
+def _layout(shape, k):
     # every unfolding's mode check, made before shape[k] is read (a cache
     # keeps no exception, so a bad mode raises each time); the shape of a
     # mode-(k+1) unfolding, its columns the product of the other extents (a
-    # zero extent leaves nothing to resolve), and the extents with axis k first
+    # zero extent leaves nothing to resolve), and the extents with axis k
+    # first; and for a stack of such tensors along a leading axis, axis k of
+    # each tensor first, its others in natural order, and the stack axis
+    # last, where a first-index-fastest reshape keeps it whole, and the inverse
     _check_mode(len(shape), k + 1)
     rest = shape[:k] + shape[k + 1:]
-    return (shape[k], math.prod(rest)), (shape[k],) + rest
+    perm = (k + 1,) + tuple(range(1, k + 1)) + tuple(range(k + 2, len(shape) + 1)) + (0,)
+    return (shape[k], math.prod(rest)), (shape[k],) + rest, perm, tuple(map(perm.index, range(len(perm))))
 
 
 def gamma_unfold(t, n, stacked=False):
@@ -47,8 +42,8 @@ def gamma_unfold(t, n, stacked=False):
     """
     t = np.asarray(t)
     s = t if stacked else t[None]
-    unfolded, _ = _fold_targets(s.shape[1:], n - 1)
-    m = s.transpose(_to_front(s.ndim - 1, n - 1)[0]).reshape(unfolded + s.shape[:1], order="F")
+    unfolded, _, perm, _ = _layout(s.shape[1:], n - 1)
+    m = s.transpose(perm).reshape(unfolded + s.shape[:1], order="F")
     m = m.transpose(2, 0, 1)
     return m if stacked else m[0]
 
@@ -62,12 +57,12 @@ def gamma_fold(m, n, shape):
     """
     m = np.asarray(m)
     shape = tuple(shape)
-    unfolded, folded = _fold_targets(shape, n - 1)
+    unfolded, folded, _, inverse = _layout(shape, n - 1)
     if m.ndim not in (2, 3) or m.shape[-2:] != unfolded:
         raise ValueError(f"matrix shape {m.shape} does not match mode {n} of {shape}")
     s = m if m.ndim == 3 else m[None]
     t = s.transpose(1, 2, 0).reshape(folded + s.shape[:1], order="F")
-    t = t.transpose(_to_front(len(shape), n - 1)[1])
+    t = t.transpose(inverse)
     return t if m.ndim == 3 else t[0]
 
 
@@ -78,7 +73,7 @@ def delta_unfold(t, n):
     fastest. For n=1 this coincides with gamma_unfold.
     """
     t = np.asarray(t)
-    unfolded = _fold_targets(t.shape, n - 1)[0]
+    unfolded = _layout(t.shape, n - 1)[0]
     perm = tuple(range(n - 1, t.ndim)) + tuple(range(n - 1))
     return t.transpose(perm).reshape(unfolded, order="F")
 

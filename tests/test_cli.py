@@ -1,6 +1,7 @@
 """Command-line harness: file outputs, CSV schemas, determinism."""
 
 import csv
+import re
 import numpy as np
 import pytest
 
@@ -139,6 +140,16 @@ def test_complete_reshape_rejects_bad_extents(tmp_path, extents):
 def test_synth_bad_shape_or_rank_exits_with_message(tmp_path, argv, message):
     with pytest.raises(SystemExit, match=message):
         main(["synth", *argv, "--out", f"{tmp_path}/bad"])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_checks_its_seed_as_the_solvers_do(tmp_path):
+    for seed in (-1, 1.0):
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
+            synth_instance((4, 4, 4), (2, 2, 2), 0.3, seed)
+    with pytest.raises(SystemExit, match="^seed must be a nonnegative integer$"):
+        main(["synth", "--shape", "4,4,4", "--rank", "2,2,2", "--seed", "-1",
+              "--out", f"{tmp_path}/bad"])
     assert list(tmp_path.iterdir()) == []
 
 
@@ -334,6 +345,31 @@ def test_bench_checks_every_point_before_the_first_solve(monkeypatch, orders, ra
     with pytest.raises(ValueError, match=f"^{message}$"):
         run_bench(orders=orders, extent=4, rank=2, rank_grid=rank_grid,
                   rank_axis_order=3, solver="olrf", iters=1, seed=0)
+
+
+def test_bench_unknown_solver_fails_before_any_work(monkeypatch):
+    monkeypatch.setattr(trtc.cli, "synth_instance", no_solve)
+    with pytest.raises(ValueError, match="^unknown solver 'xx', expected one of olrf, llrf$"):
+        run_bench(orders=(3,), extent=4, rank=2, rank_grid=(2,),
+                  rank_axis_order=3, solver="xx", iters=1, seed=0)
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(["sweep", "--axis", "rank", "--grid", "2,3", "--shape", "4,4,4",
+                  "--rank", "2,2,2", "--solver", "olrf", "--repeats", "3"], id="sweep"),
+    pytest.param(["complete", "--rank", "2,2,2"], id="complete"),
+    pytest.param(["bench", "--orders", "3", "--extent", "4", "--rank-grid", "2"], id="bench"),
+])
+def test_missing_output_directory_fails_before_any_work(tmp_path, monkeypatch, command):
+    main(["synth", "--shape", "4,4,4", "--rank", "2,2,2", "--out", f"{tmp_path}/m"])
+    if command[0] == "complete":
+        command = command + ["--in", f"{tmp_path}/m_observed.trtc"]
+    written = sorted(tmp_path.iterdir())
+    monkeypatch.setitem(trtc.cli.SOLVERS, "olrf", no_solve)
+    out = tmp_path / "missing" / "out.csv"
+    with pytest.raises(SystemExit, match=f"^the directory of --out {re.escape(str(out))} does not exist$"):
+        main([*command, "--out", str(out)])
+    assert sorted(tmp_path.iterdir()) == written
 
 
 @pytest.mark.parametrize("iters", ["0", "-3"])

@@ -9,15 +9,33 @@ from pathlib import Path
 import trtc
 
 
-def test_import_does_not_load_scipy():
-    # a fresh interpreter, so modules imported by the test run do not count
+def fresh_run(code):
+    # the lines code prints in a fresh interpreter, so modules imported by
+    # the test run do not count, with this checkout's package first on the path
     src = str(Path(trtc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, trtc; print(trtc.__file__); print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True).stdout.split("\n")
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout.split("\n")
+
+
+def test_import_does_not_load_scipy():
+    out = fresh_run("import sys, trtc; print(trtc.__file__); print('scipy' in sys.modules)")
     assert Path(out[0]).resolve() == Path(trtc.__file__).resolve()
     assert out[1] == "False"
+
+
+def test_first_synthesis_and_solve_import_no_module():
+    # numpy loads numpy.random on first use; were that the first synthesis
+    # or solve, the import would be timed as part of it
+    out = fresh_run(
+        "import sys, numpy as np, trtc, trtc.cli\n"
+        "before = set(sys.modules)\n"
+        "truth, mask = trtc.cli.synth_instance((4, 4, 4), (2, 2, 2), 0.3, 0)\n"
+        "cfg = trtc.SolverConfig(tr_rank=(2, 2, 2), max_iters=3)\n"
+        "trtc.solve_llrf(np.where(mask, truth, np.nan), mask, cfg)\n"
+        "print(sorted(set(sys.modules) - before))"
+    )
+    assert out[0] == "[]"
 
 
 def module_tree(module):

@@ -161,6 +161,32 @@ def test_svt_takes_the_svd_where_a_finite_gram_overflows(shape, beta):
         svt(mixed, beta)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+@pytest.mark.parametrize("beta", [1e-10, 1.0, 1e154])
+def test_svt_routes_each_matrix_of_a_stack_alone(monkeypatch, beta):
+    # one matrix on the Gram route (s_max = 1.2 beta, whose Gram is finite
+    # even at beta = 1e154), one beyond the squaring guard (s_max / beta =
+    # 1e5) and one whose Gram overflows: the last two take the SVD together,
+    # and each matrix gets the bytes and the count of its own route. At
+    # beta = 1e154 the guard's bound _SQUARED_MAX * beta^2 is inf, so only a
+    # NaN mark, not an inf one, sends the overflowed matrix to the SVD
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((3, 4, 6))
+    a /= np.linalg.svd(a, compute_uv=False)[:, :1, None]
+    a *= np.array([1.2 * beta, 1e5 * beta, 1e200])[:, None, None]
+    gram_route = svt(a[0], beta)
+    routes = [_svd_svt(a[1], beta), _svd_svt(a[2], beta)]
+    seen = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: seen.append(len(m)) or svd(m, **kw))
+    res = svt(a, beta)
+    assert seen == [2]
+    assert res.matrix[0].tobytes() == gram_route.matrix.tobytes()
+    for got, (matrix, _) in zip(res.matrix[1:], routes):
+        assert got.tobytes() == matrix.tobytes()
+    assert res.effective_rank == gram_route.effective_rank + sum(rank for _, rank in routes)
+
+
 @pytest.mark.parametrize("ratio,through_svd", [(0.999e4, 0), (1.001e4, 1), (np.inf, 3)])
 def test_svt_takes_the_svd_only_beyond_the_squaring_guard(monkeypatch, ratio, through_svd):
     # the Gram route squares the singular values; a matrix whose s_max / beta
