@@ -346,6 +346,8 @@ def main(argv=None):
         return args.func(args)
     except (OSError, ValueError, TensorFileError, DivergenceError) as e:
         raise SystemExit(str(e)) from e
+    except MemoryError as e:
+        raise SystemExit(f"out of memory: {e}") from e
 
 
 if __name__ == "__main__":

@@ -197,19 +197,23 @@ def _validate(observed, mask, cfg):
         raise ValueError("mask shape does not match tensor shape")
     if not mask.any():
         raise ValueError("observation mask is empty")
-    obs = observed[mask]
-    if not np.isfinite(obs).all():
+    # one pass over the input: x, first-index-fastest, holds the observed
+    # entries and zeros, and every later check reads it
+    x = np.zeros(observed.shape, order="F")
+    np.copyto(x, observed, where=mask)
+    if not np.isfinite(x).all():
         raise ValueError("observed entries must be finite")
-    if not obs.any():
+    if not x.any():
         raise ValueError("observed entries are all zero")
     # the loop divides by this norm
-    if np.linalg.norm(obs) == 0.0:
+    obs_norm = np.linalg.norm(x)
+    if obs_norm == 0.0:
         raise ValueError("observed entries are too small: their norm underflows to zero")
     if len(cfg.tr_rank) != observed.ndim:
         raise ValueError(
             f"rank vector of length {len(cfg.tr_rank)} incompatible with order-{observed.ndim} tensor"
         )
-    return observed, mask
+    return x, mask, obs_norm
 
 
 class _Overlapped:
@@ -251,12 +255,10 @@ class _Latent:
 MODELS = {"olrf": _Overlapped, "llrf": _Latent}
 
 
-def init_state(observed, mask, cfg, model):
-    """Initial solver state (x, cores, groups) for validated input and a
-    model of MODELS: x = observed with missing entries set to zero,
-    first-index-fastest, N(0,1) cores, and one ShapeGroup per core shape
+def init_state(shape, cfg, model):
+    """Initial solver state (cores, groups) for a validated input's shape
+    and a model of MODELS: N(0,1) cores, and one ShapeGroup per core shape
     that holds the cores' zero auxiliaries and multipliers as stacks."""
-    shape = observed.shape
     ranks = cfg.tr_rank.ranks
     n_modes = len(shape)
     rng = default_rng(cfg.seed)
@@ -264,8 +266,6 @@ def init_state(observed, mask, cfg, model):
         rng.standard_normal((ranks[i], shape[i], ranks[(i + 1) % n_modes]))
         for i in range(n_modes)
     ]
-    x = np.zeros(shape, order="F")
-    np.copyto(x, observed, where=mask)
     by_shape = {}
     for n, c in enumerate(cores):
         by_shape.setdefault(c.shape, []).append(n)
@@ -274,16 +274,15 @@ def init_state(observed, mask, cfg, model):
         ShapeGroup(idx, np.zeros((3, len(idx)) + s), np.zeros((k, len(idx)) + s))
         for s, idx in by_shape.items()
     ]
-    return x, cores, groups
+    return cores, groups
 
 
 def _solve(name, observed, mask, cfg):
-    observed, mask = _validate(observed, mask, cfg)
-    x, cores, groups = init_state(observed, mask, cfg, name)
+    x, mask, obs_norm = _validate(observed, mask, cfg)
+    cores, groups = init_state(x.shape, cfg, name)
     model = MODELS[name]
     mu = _MU0
 
-    obs_norm = np.linalg.norm(x)
     x_flat = x.reshape(-1, order="F")
     # the refill's plan: z's columns in ranges of about _BLOCK entries, each
     # with x's slice and its missing entries' offsets there. A product of one

@@ -1,7 +1,12 @@
 """Command-line harness: file outputs, CSV schemas, determinism."""
 
 import csv
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -412,6 +417,32 @@ def test_bench_api_one_row_per_point():
     rows = run_bench(orders=(3,), extent=4, rank=2, rank_grid=(2,),
                      rank_axis_order=3, solver="olrf", iters=1, seed=0)
     assert len(rows) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["synth", "--shape", "100000,100000,100000", "--rank", "2,2,2"], id="synth"),
+    pytest.param(["complete", "--in", "m_observed.trtc", "--rank", "100000,100000,2"], id="complete"),
+])
+def test_size_that_does_not_fit_exits_with_one_line(tmp_path, argv):
+    # run in a child whose address space is capped at 3 GiB, so the
+    # allocation fails at once instead of filling the machine's memory
+    resource = pytest.importorskip("resource")
+    main(["synth", "--shape", "4,4,4", "--rank", "2,2,2", "--seed", "2", "--out", f"{tmp_path}/m"])
+    src = str(Path(trtc.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from trtc.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv, "--out", "fit"],
+        cwd=tmp_path, env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) == 1 and "Unable to allocate" in done.stderr
 
 
 def test_main_requires_subcommand():

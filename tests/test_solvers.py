@@ -2,6 +2,9 @@
 
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -23,7 +26,7 @@ from trtc import (
     write_tensor,
 )
 from trtc.ring import reconstruct, split_mode
-from trtc.solvers import _checked_truth, init_state
+from trtc.solvers import _checked_truth, _validate, init_state
 from trtc.cli import synth_instance
 
 SOLVERS = [("olrf", solve_olrf), ("llrf", solve_llrf)]
@@ -111,22 +114,18 @@ def test_rse_missing_scope():
 
 
 def test_init_state_contract():
-    truth, mask, obs = order4_instance()
+    _, mask, _ = order4_instance()
     cfg = SolverConfig(tr_rank=(4, 5, 4, 5), seed=3)
-    x1, cores1, groups1 = init_state(obs, mask, cfg, "olrf")
-    _, cores2, _ = init_state(obs, mask, cfg, "olrf")
+    cores1, groups1 = init_state(mask.shape, cfg, "olrf")
+    cores2, _ = init_state(mask.shape, cfg, "olrf")
     for a, b in zip(cores1, cores2):
         np.testing.assert_array_equal(a, b)
-    assert np.all(x1[~mask] == 0.0)
-    np.testing.assert_array_equal(x1[mask], truth[mask])
 
-    x3, cores3, groups3 = init_state(obs, mask, cfg, "llrf")
+    cores3, groups3 = init_state(mask.shape, cfg, "llrf")
     # cores 1, 3 and 2, 4 share a shape; a group holds the state of its m
     # cores as stacks: three auxiliary tensors and k zero multipliers each,
-    # k = 3 constraints for olrf and 1 for llrf. x is Fortran-ordered, so
-    # the refill can write through its first-index-fastest flat view
-    for x, cores, groups, k in ((x1, cores1, groups1, 3), (x3, cores3, groups3, 1)):
-        assert x.flags.f_contiguous
+    # k = 3 constraints for olrf and 1 for llrf
+    for cores, groups, k in ((cores1, groups1, 3), (cores3, groups3, 1)):
         assert [g.members for g in groups] == [[0, 2], [1, 3]]
         for g in groups:
             core = cores[g.members[0]].shape
@@ -134,8 +133,37 @@ def test_init_state_contract():
             assert g.multipliers.shape == (k, 2) + core and np.all(g.multipliers == 0)
 
     cfg2 = SolverConfig(tr_rank=(4, 5, 4, 5), seed=4)
-    _, cores4, _ = init_state(obs, mask, cfg2, "olrf")
+    cores4, _ = init_state(mask.shape, cfg2, "olrf")
     assert not np.array_equal(cores1[0], cores4[0])
+
+
+def test_validate_contract():
+    # x is Fortran-ordered, so the refill can write through its
+    # first-index-fastest flat view; it is the observed entries bit for bit
+    # and 0 off the mask, whatever marks the missing entries there
+    truth, mask, obs = order4_instance()
+    x, checked_mask, obs_norm = _validate(obs, mask, SolverConfig(tr_rank=(4, 5, 4, 5)))
+    assert x.flags.f_contiguous and x.dtype == np.float64
+    np.testing.assert_array_equal(checked_mask, mask)
+    assert np.array_equal(x[mask].view(np.uint64), truth[mask].view(np.uint64))
+    assert np.all(x[~mask] == 0.0)
+    assert obs_norm == np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("observed,mask,rank,message", [
+    pytest.param(lambda o, m: o, lambda m: m[..., :9], (4, 5, 4),
+                 "mask shape does not match tensor shape", id="mask-shape-then-rank"),
+    pytest.param(lambda o, m: np.where(m, 0.0, np.nan), np.zeros_like, (4, 5, 4, 5),
+                 "observation mask is empty", id="empty-mask-then-zero"),
+    pytest.param(lambda o, m: np.where(m & (o > 0.1), np.inf, o), lambda m: m, (4, 5, 4),
+                 "observed entries must be finite", id="non-finite-then-rank"),
+    pytest.param(lambda o, m: np.where(m, 0.0, np.nan), lambda m: m, (4, 5, 4),
+                 "observed entries are all zero", id="zero-then-rank"),
+])
+def test_validate_reports_the_earlier_of_two_faults(observed, mask, rank, message):
+    _, m, obs = order4_instance()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _validate(observed(obs, m), mask(m), SolverConfig(tr_rank=rank))
 
 
 def test_input_validation(monkeypatch):
@@ -489,6 +517,47 @@ def test_order_six_instance_latent_tracks_overlapped():
         assert rep.converged
         out[name] = rse(rep.final_x, truth, "missing", mask)
     assert out["llrf"] < 2.0 * out["olrf"]
+
+
+# solves dense-order8's instance (6^8, rank 3, 50% missing) with both models
+# and saves what the thread-count test compares
+_THREADED_SOLVES = """
+import sys
+import numpy as np
+from trtc import SolverConfig, solve_llrf, solve_olrf
+from trtc.cli import synth_instance
+truth, mask = synth_instance((6,) * 8, (3,) * 8, 0.5, 0, std=0.5)
+obs = np.where(mask, truth, np.nan)
+out = {}
+for name, solver in (("olrf", solve_olrf), ("llrf", solve_llrf)):
+    rep = solver(obs, mask, SolverConfig(tr_rank=(3,) * 8, max_iters=500, seed=0))
+    out[name + "_iters"] = rep.iterations
+    out[name + "_rel"] = rep.rel_change_history
+    out[name + "_cons"] = rep.consistency_history
+    out[name + "_x"] = rep.final_x
+np.savez(sys.argv[1], **out)
+"""
+
+
+def test_order8_solves_agree_across_blas_thread_counts(tmp_path):
+    # the bits of a 6^8 solve depend on the BLAS thread count, which fixes
+    # how the gemms split their sums; across counts they agree to rounding
+    src = str(Path(trtc.solvers.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        path = tmp_path / f"threads{threads}.npz"
+        subprocess.run([sys.executable, "-c", _THREADED_SOLVES, str(path)], env=env, check=True,
+                       timeout=300)
+        runs.append(np.load(path))
+    one, two = runs
+    for name, _ in SOLVERS:
+        assert one[name + "_iters"] == two[name + "_iters"]
+        for hist in ("_rel", "_cons"):
+            np.testing.assert_allclose(two[name + hist], one[name + hist], rtol=1e-8, atol=0)
+        x1, x2 = one[name + "_x"], two[name + "_x"]
+        assert np.linalg.norm(x2 - x1) <= 1e-12 * np.linalg.norm(x1)
 
 
 @pytest.mark.parametrize("name,solver", SOLVERS)
