@@ -343,7 +343,10 @@ def main(argv=None):
         # every subcommand writes under --out: its directory is checked before any work
         if not os.path.isdir(os.path.dirname(args.out) or "."):
             raise ValueError(f"the directory of --out {args.out} does not exist")
-        return args.func(args)
+        # a solve that leaves the floats (a huge --lambda) ends in one
+        # message of its own; numpy's warnings on the way are not shown
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (OSError, ValueError, TensorFileError, DivergenceError) as e:
         raise SystemExit(str(e)) from e
     except MemoryError as e:

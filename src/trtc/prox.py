@@ -100,7 +100,9 @@ def svt(a, beta):
         return SVTResult(*_svd_svt(a, beta))
     at = a.swapaxes(-1, -2)
     wide = a.shape[-2] <= a.shape[-1]
-    gram = a @ at if wide else at @ a
+    # a Gram that overflows is handled below, so numpy's warning is not shown
+    with np.errstate(over="ignore"):
+        gram = a @ at if wide else at @ a
     try:
         lam, v = np.linalg.eigh(gram)
     except np.linalg.LinAlgError:

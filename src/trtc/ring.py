@@ -116,13 +116,13 @@ def _merge(a, b):
 
 def _trace_contract(acc, last):
     # z[(j, k)] = sum_ab acc[a, j, b] * last[b, k, a], for the two halves of
-    # a ring; contiguous copies so the result does not depend on operand
-    # layout; the product is formed transposed, so z comes out
-    # first-index-fastest
-    m = acc.shape[1]
-    left = np.ascontiguousarray(acc.transpose(1, 0, 2).reshape(m, -1))
+    # a ring; contiguous operands so the result does not depend on operand
+    # layout. The left one is the C-ordered (R^2, rows) matrix, a view when
+    # acc is laid out as data_sweep's last yield lays out its prefix; the
+    # product is formed transposed, so z comes out first-index-fastest
+    left_t = np.ascontiguousarray(acc.transpose(0, 2, 1)).reshape(-1, acc.shape[1])
     right = np.ascontiguousarray(last.transpose(2, 0, 1).reshape(-1, last.shape[1]))
-    return (right.T @ left.T).T
+    return (right.T @ left_t).T
 
 
 def identity_chain(r):
@@ -174,7 +174,13 @@ def data_sweep(x, cores, merge=_merge):
     identity_chain(R_1); merge combines two chains. A partial is carried
     past a core, and a data term formed, in one product of the two laid
     out as matrices, the product np.tensordot forms, so the bits are
-    tensordot's.
+    tensordot's. U_m is the one exception: it is formed transposed,
+    S^T @ x_half^T for S the suffix chain as a (I_{m+1}...I_N, R_1 R_{m+1})
+    matrix, and laid out C-ordered, as x_half @ S comes out. The plain
+    order puts the short R_1 R_{m+1} side on the BLAS's row dimension,
+    where OpenBLAS runs it up to 2.5 times slower. At the benchmark's
+    extents (6^8 rank 3, 10^4 rank 6) the two orders give the same bits;
+    on some small ones they differ in the last bits.
 
     The Grams: the sweep holds the transfer matrix of every core, made
     once per core before the first sweep and once each time the caller
@@ -187,9 +193,12 @@ def data_sweep(x, cores, merge=_merge):
 
     Resumed once more after core N, the sweep yields the two halves of the
     ring as the caller now holds it, (prefix, suffix): the chains of cores
-    1..m and m+1..N. Resumed after that, it sweeps again, from the suffix
-    chains it built with that suffix and x as the caller then holds it.
-    The split m is derived once, before the first sweep.
+    1..m and m+1..N. The prefix (R_1, A, R_{m+1}) is laid out once, with
+    its last two axes swapped in memory, so that _trace_contract reads it
+    as its left operand without a copy, however many ranges it contracts.
+    Resumed after that, it sweeps again, from the suffix chains it built
+    with that suffix and x as the caller then holds it. The split m is
+    derived once, before the first sweep.
     """
     x = np.asarray(x)
     shape = x.shape
@@ -205,7 +214,8 @@ def data_sweep(x, cores, merge=_merge):
         tsuffixes = _suffixes(trans, np.matmul, teye, 1)
         x_half = x.reshape(rows, cols, order="F")
         # U_m, then U_{m-1}..U_1 from the cores as they are before the first yield
-        u = x_half @ suffixes[-1].transpose(1, 2, 0).reshape(cols, -1)
+        chain = suffixes[-1].transpose(1, 2, 0).reshape(cols, -1)
+        u = np.ascontiguousarray((chain.T @ x_half.T).T)
         partials = [u.reshape(shape[m - 1], -1, r, suffixes[-1].shape[0])]
         for n in range(m, 1, -1):
             p, i, q = cores[n - 1].shape
@@ -240,7 +250,8 @@ def data_sweep(x, cores, merge=_merge):
         # the partials and the transfer products go before the halves are read
         x_half = u = v = tprefix = tsuffixes = None
         suffixes = _suffixes(cores, merge, empty, m)
-        yield prefix, suffixes[-1]
+        # the prefix laid out so that _trace_contract reads it without a copy
+        yield np.ascontiguousarray(prefix.transpose(0, 2, 1)).transpose(0, 2, 1), suffixes[-1]
 
 
 def reconstruct(cores):

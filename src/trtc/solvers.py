@@ -59,10 +59,11 @@ solves its system with one np.linalg.solve (trtc.prox).
 
 The reconstruction z, first index fastest, is the (rows, cols) product of
 the two halves, and the loop never forms it whole: it contracts the halves
-one range of z's columns (about _BLOCK entries) at a time and, while the
-range is in cache, writes its missing entries into x in place, through
-x's flat first-index-fastest view, and adds their squared change to a
-running sum, as it adds its squared entries to z's. The observed entries
+one range of z's columns (about _BLOCK entries) at a time, from a prefix
+the sweep lays out once per iteration so that no range copies it, and,
+while the range is in cache, writes its missing entries into x in place,
+through x's flat first-index-fastest view, and adds their squared change
+to a running sum, as it adds its squared entries to z's. The observed entries
 of x never change, so that sum is the relative change's. Besides x, the
 loop keeps only the missing entries' offsets, computed once per solve,
 from one iteration to the next.

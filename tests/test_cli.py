@@ -207,6 +207,22 @@ def test_complete_divergence_exits_with_message(tmp_path, monkeypatch):
               "--out", f"{tmp_path}/mfit"])
 
 
+# a floating-point warning on the way is raised here, and fails the test
+@pytest.mark.filterwarnings("error")
+def test_complete_huge_lambda_exits_with_the_message_alone(tmp_path, capsys):
+    main(["synth", "--shape", "4,4,4", "--rank", "2,2,2", "--missing-rate", "0.3",
+          "--seed", "2", "--out", f"{tmp_path}/m"])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as e:
+        main(["complete", "--in", f"{tmp_path}/m_observed.trtc", "--rank", "2,2,2",
+              "--lambda", "1e308", "--out", f"{tmp_path}/mfit"])
+    # a string code: the interpreter prints it, alone, to stderr and exits with status 1
+    assert isinstance(e.value.code, str) and "non-finite at iteration" in e.value.code
+    assert "\n" not in e.value.code
+    assert capsys.readouterr() == ("", "")
+    assert not os.path.exists(f"{tmp_path}/mfit_completed.trtc")
+
+
 def test_complete_scores_only_the_final_tensor(tmp_path, monkeypatch):
     calls = []
     real_rse = trtc.solvers.rse

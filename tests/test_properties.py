@@ -248,6 +248,32 @@ def test_reconstruct_matches_full_chain_contraction(problem):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+# (4, 2, 2) splits at m = 1, (3, 2, 4) at m = N - 1, and (2, 3) has one
+# column per half: there every contraction is a gemv
+@example(((2, 2, 3, 2), (2, 3, 1, 2), 0))
+@example(((4, 2, 2), (3, 2, 1), 3))
+@example(((3, 2, 4), (2, 1, 3), 1))
+@example(((2, 3), (2, 3), 2))
+@given(ring_problems())
+def test_trace_contract_bits_do_not_depend_on_layout(problem):
+    # the halves a data sweep ends with, each C-ordered, Fortran-ordered,
+    # strided and (the prefix) as the sweep lays it out, and one-column
+    # ranges of the suffix, a gemv: the same bits as the C-ordered operands
+    cores, x = ring_instance(problem)
+    terms = data_sweep(x, cores)
+    for _ in cores:
+        next(terms)
+    prefix, suffix = next(terms)
+    # the sweep's layout makes the contraction's left operand a view
+    assert prefix.transpose(0, 2, 1).flags.c_contiguous
+    ranges = [suffix] + [suffix[:, k:k + 1] for k in range(suffix.shape[1])]
+    for last in ranges:
+        want = _trace_contract(np.ascontiguousarray(prefix), np.ascontiguousarray(last))
+        for acc in (prefix, *layouts(prefix)):
+            for lst in layouts(last):
+                assert same_bits(_trace_contract(acc, lst), want)
+
+
 @example(((2, 2, 3, 2), (2, 3, 1, 2), 0))
 @example(((3, 2), (2, 3), 2))
 @given(ring_problems())
@@ -303,17 +329,30 @@ def test_core_updates_without_chains_equal_the_solver_chains(problem):
         cores[n - 1] = new
 
 
+def suffix_operands(x, cores):
+    # x as data_sweep reads it, a (I_1...I_m, I_{m+1}...I_N) matrix, the
+    # chain of cores m+1..N as the matrix S of its first gemm, and the chain
+    m = split_mode(x.shape)
+    suffixes = [identity_chain(cores[0].shape[0])]
+    for c in reversed(cores[m:]):
+        suffixes.append(c if len(suffixes) == 1 else _merge(c, suffixes[-1]))
+    x_half = x.reshape(int(np.prod(x.shape[:m])), -1, order="F")
+    return x_half, suffixes[-1].transpose(1, 2, 0).reshape(x_half.shape[1], -1), suffixes
+
+
+def suffix_product(x_half, s):
+    # data_sweep's first gemm, x_half @ s formed transposed and laid out C-ordered
+    return np.ascontiguousarray((s.T @ x_half.T).T)
+
+
 def tensordot_sweep(x, cores):
     # the sides of one data_sweep over x, with every partial carried past a
     # core by np.tensordot: the formulation data_sweep's products replace
     shape, order = x.shape, len(cores)
     m = split_mode(shape)
     r = cores[0].shape[0]
-    suffixes = [identity_chain(r)]
-    for c in reversed(cores[m:]):
-        suffixes.append(c if len(suffixes) == 1 else _merge(c, suffixes[-1]))
-    x_half = x.reshape(int(np.prod(shape[:m])), -1, order="F")
-    u = x_half @ suffixes[-1].transpose(1, 2, 0).reshape(x_half.shape[1], -1)
+    x_half, s, suffixes = suffix_operands(x, cores)
+    u = suffix_product(x_half, s)
     partials = [u.reshape(shape[m - 1], -1, r, suffixes[-1].shape[0])]
     for n in range(m, 1, -1):
         u = np.tensordot(partials[-1], cores[n - 1], axes=([0, 3], [1, 2]))  # [j, r_1, r_n]
@@ -340,6 +379,8 @@ def tensordot_data_term(prefix, suffix):
     return t.reshape(len(t), -1)
 
 
+# the first gemm's orientation shows at ((2, 2, 4, 4), (2, 1, 1, 1), 0)
+@example(((2, 2, 4, 4), (2, 1, 1, 1), 0))
 @example(((2, 2, 3, 2), (2, 3, 1, 2), 0))
 @example(((3, 2), (2, 3), 2))
 @example(((5, 6, 4), (2, 3, 2), 3))
@@ -357,6 +398,35 @@ def test_sweep_products_equal_their_tensordot_form(problem):
         for n in range(1, len(cores) + 1):
             assert same_bits(next(got)[0], tensordot_data_term(*next(want)))
             got_cores[n - 1] = want_cores[n - 1] = rng.standard_normal(cores[n - 1].shape)
+
+
+# at ((2, 2, 4, 4), (2, 1, 1, 1), 0) the two orientations differ by 1.8e-15
+@example(((2, 2, 4, 4), (2, 1, 1, 1), 0))
+@example(((2, 2, 3, 2), (2, 3, 1, 2), 0))
+@example(((3, 2), (2, 3), 2))
+@example(((5, 6, 4), (2, 3, 2), 3))
+@example(((50, 2, 2, 2), (2, 3, 2, 2), 4))
+@example(((2, 2, 2, 50), (2, 3, 2, 2), 5))
+@given(ring_problems())
+def test_transposed_suffix_product_is_the_plain_product(problem):
+    # the transposed first gemm sums in another order than x_half @ s: each
+    # entry within 1e-13 of the sum of its terms' magnitudes
+    cores, x = ring_instance(problem)
+    for xl in layouts(x):
+        x_half, s, _ = suffix_operands(xl, cores)
+        got, want = suffix_product(x_half, s), x_half @ s
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert (np.abs(got - want) <= 1e-13 * (np.abs(x_half) @ np.abs(s))).all()
+
+
+@pytest.mark.parametrize("shape,rank", [((6,) * 8, 3), ((10,) * 4, 6)])
+def test_transposed_suffix_product_keeps_the_bits_at_benchmark_shapes(shape, rank):
+    # the first gemm of the 6^8 and 10^4 benchmark solves, x Fortran-ordered
+    # as a solver holds it: both orientations give the same bits there
+    rng = np.random.default_rng(18)
+    cores = [rng.standard_normal((rank, e, rank)) for e in shape]
+    x_half, s, _ = suffix_operands(np.asfortranarray(rng.standard_normal(shape)), cores)
+    assert same_bits(suffix_product(x_half, s), x_half @ s)
 
 
 @st.composite

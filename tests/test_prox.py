@@ -137,8 +137,8 @@ def test_svt_beyond_the_largest_singular_value_is_zero_when_beta_squared_overflo
         svt(a, beta)
 
 
-# the Gram's matmul overflows on the way, which numpy reports
-@pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+# the Gram's matmul overflows on the way, which svt handles without a warning
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("beta", [1e-10, 0.01, 1.0, 10.0])
 @pytest.mark.parametrize("shape", [(3, 4, 6), (5, 3), (2, 6, 4)])
 def test_svt_takes_the_svd_where_a_finite_gram_overflows(shape, beta):
@@ -161,7 +161,7 @@ def test_svt_takes_the_svd_where_a_finite_gram_overflows(shape, beta):
         svt(mixed, beta)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("beta", [1e-10, 1.0, 1e154])
 def test_svt_routes_each_matrix_of_a_stack_alone(monkeypatch, beta):
     # one matrix on the Gram route (s_max = 1.2 beta, whose Gram is finite

@@ -8,8 +8,15 @@ order-2 and an order-3 instance, where the two ends of the ring meet,
 recorded before the ends were contracted against the (N-2)-core chains.
 `solver_histories_long.json` holds them on an order-6 instance, the first
 whose chains take more than one merge, recorded before the sweep's sides
-were built by ring.sweep. JSON numbers are written with `repr`, so every float round trips exactly.
-Each file also holds an `rse_history` per solve, from when the solvers
+were built by ring.sweep. `solver_histories_order8.json` holds every
+iteration of whole solves to tol on dense-order8's instance (6^8, rank 3,
+50% missing), the first whose reconstruction takes more than one column
+range, recorded before data_sweep formed its first gemm transposed and laid
+out its last prefix for the refill. Its bits depend on the BLAS thread
+count (README, "Determinism"), so those solves run, and are recorded, in a
+fresh interpreter at one OpenBLAS thread. JSON numbers are written with
+`repr`, so every float round trips exactly.
+The first three files also hold an `rse_history` per solve, from when the solvers
 scored every iteration against a truth; the solvers take no truth, so those
 arrays are kept as recorded and are not read. To record a file again from
 a given checkout (which writes the three histories the report still has):
@@ -17,6 +24,7 @@ a given checkout (which writes the three histories the report still has):
     PYTHONPATH=src python tests/test_solver_histories.py criterion5
     PYTHONPATH=src python tests/test_solver_histories.py ends
     PYTHONPATH=src python tests/test_solver_histories.py long
+    PYTHONPATH=src python tests/test_solver_histories.py order8
 
 TO_TOL holds the iteration count and the RSE on the missing entries of
 whole solves to tol on the over-rank instance of criterion 7, where 20
@@ -26,6 +34,8 @@ eigendecomposition of each unfolding's Gram instead of its SVD.
 """
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -38,6 +48,7 @@ from trtc.cli import synth_instance
 FIXTURE = Path(__file__).with_name("solver_histories.json")
 ENDS_FIXTURE = Path(__file__).with_name("solver_histories_ends.json")
 LONG_FIXTURE = Path(__file__).with_name("solver_histories_long.json")
+ORDER8_FIXTURE = Path(__file__).with_name("solver_histories_order8.json")
 SOLVERS = {"olrf": solve_olrf, "llrf": solve_llrf}
 HISTORIES = ("rel_change_history", "consistency_history", "mu_history")
 ITERS = 20
@@ -48,24 +59,37 @@ ENDS = {
     "order3": ((5, 6, 4), (2, 3, 2), 0.3, 0.5),
 }
 LONG = {"order6": ((3, 2, 3, 2, 3, 2), (2,) * 6, 0.5, 1.0)}
+# solved to tol (21 iterations) at the benchmark's iteration limit
+ORDER8 = ((6,) * 8, (3,) * 8, 0.5, 0.5)
+ORDER8_ITERS = 500
 # solved at rank 6, above the generator's rank, so every SVT truncates:
 # (iterations, rse_missing) at the default tol
 OVERRANK = ((10, 10, 10, 10), (4, 5, 4, 5), 0.7, 0.5)
 TO_TOL = {"olrf": (1220, 0.0046878406555043856), "llrf": (581, 0.0018342989972203883)}
 
 
-def _run(name, instance=CRITERION5):
+def _run(name, instance=CRITERION5, max_iters=ITERS):
     shape, rank, missing_rate, std = instance
     truth, mask = synth_instance(shape, rank, missing_rate, 0, std=std)
     obs = np.where(mask, truth, np.nan)
-    cfg = SolverConfig(tr_rank=rank, seed=0, max_iters=ITERS)
+    cfg = SolverConfig(tr_rank=rank, seed=0, max_iters=max_iters)
     rep = SOLVERS[name](obs, mask, cfg)
     return {h: [float(v) for v in getattr(rep, h)] for h in HISTORIES}
 
 
-def _check(now, recorded):
+def _run_order8():
+    # both solvers on ORDER8, in a fresh interpreter at one OpenBLAS thread
+    src = str(Path(sys.modules["trtc"].__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, __file__, "order8-run"], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    return json.loads(out.stdout)
+
+
+def _check(now, recorded, iters=ITERS):
     for h in HISTORIES:
-        assert len(now[h]) == len(recorded[h]) == ITERS, h
+        assert len(now[h]) == len(recorded[h]) == iters, h
         np.testing.assert_allclose(now[h], recorded[h], rtol=1e-10, atol=0, err_msg=h)
 
 
@@ -84,6 +108,16 @@ def test_ring_end_histories_match_recorded_loop(name, instance):
 @pytest.mark.parametrize("name", sorted(SOLVERS))
 def test_long_ring_histories_match_recorded_loop(name, instance):
     _check(_run(name, LONG[instance]), json.loads(LONG_FIXTURE.read_text())[instance][name])
+
+
+@pytest.fixture(scope="module")
+def order8_histories():
+    return _run_order8()
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_order8_histories_match_recorded_loop(order8_histories, name):
+    _check(order8_histories[name], json.loads(ORDER8_FIXTURE.read_text())[name], iters=21)
 
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))
@@ -107,5 +141,10 @@ if __name__ == "__main__":
     elif sys.argv[1:] == ["long"]:
         record = {k: {name: _run(name, LONG[k]) for name in sorted(SOLVERS)} for k in sorted(LONG)}
         LONG_FIXTURE.write_text(json.dumps(record, indent=1) + "\n")
+    elif sys.argv[1:] == ["order8"]:
+        ORDER8_FIXTURE.write_text(json.dumps(_run_order8(), indent=1) + "\n")
+    elif sys.argv[1:] == ["order8-run"]:
+        # the child _run_order8 starts: the histories as JSON on stdout
+        print(json.dumps({name: _run(name, ORDER8, ORDER8_ITERS) for name in sorted(SOLVERS)}))
     else:
-        sys.exit("usage: test_solver_histories.py criterion5|ends|long")
+        sys.exit("usage: test_solver_histories.py criterion5|ends|long|order8")
