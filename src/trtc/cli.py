@@ -88,6 +88,13 @@ def synth_instance(shape, ranks, missing_rate, seed, std=_STD):
 
 # ------------------------------------------------------------------ helpers
 
+def _solve(solver, observed, mask, cfg):
+    # a solve that leaves the floats (a huge --lambda) ends in a
+    # DivergenceError of its own; numpy's warnings on the way are not shown
+    with np.errstate(all="ignore"):
+        return SOLVERS[solver](observed, mask, cfg)
+
+
 def _ints(text):
     return tuple(int(v) for v in text.split(","))
 
@@ -141,7 +148,7 @@ def cmd_complete(args):
 
     cfg = SolverConfig(tr_rank=args.rank, lam=args.lam, tol=args.tol,
                        max_iters=args.max_iters, seed=args.seed)
-    report = SOLVERS[args.solver](observed, mask, cfg)
+    report = _solve(args.solver, observed, mask, cfg)
     write_tensor(report.final_x, f"{args.out}_completed.trtc")
     for k, core in enumerate(report.final_cores, start=1):
         write_tensor(core, f"{args.out}_core{k}.trtc")
@@ -199,7 +206,7 @@ def run_sweep(axis, grid, shape, gen_rank, missing_rate, lam, solver_names,
                 run_seed = seed + j
                 truth, mask = synth_instance(shape, gen_rank, rate, run_seed, std)
                 observed = np.where(mask, truth, np.nan)
-                report = SOLVERS[solver](observed, mask, dataclasses.replace(cfg, seed=run_seed))
+                report = _solve(solver, observed, mask, dataclasses.replace(cfg, seed=run_seed))
                 rses.append(rse(report.final_x, truth, "missing", mask))
                 iters.append(report.iterations)
                 conv += int(report.converged)
@@ -240,7 +247,7 @@ def bench_point(extent, solver, cfg):
     ranks = cfg.tr_rank.ranks
     truth, mask = synth_instance((extent,) * len(ranks), ranks, 0.5, cfg.seed)
     observed = np.where(mask, truth, np.nan)
-    report = SOLVERS[solver](observed, mask, cfg)
+    report = _solve(solver, observed, mask, cfg)
     times = report.iter_times[1:] or report.iter_times
     return float(np.median(times)), float(np.mean(times))
 
@@ -343,10 +350,7 @@ def main(argv=None):
         # every subcommand writes under --out: its directory is checked before any work
         if not os.path.isdir(os.path.dirname(args.out) or "."):
             raise ValueError(f"the directory of --out {args.out} does not exist")
-        # a solve that leaves the floats (a huge --lambda) ends in one
-        # message of its own; numpy's warnings on the way are not shown
-        with np.errstate(all="ignore"):
-            return args.func(args)
+        return args.func(args)
     except (OSError, ValueError, TensorFileError, DivergenceError) as e:
         raise SystemExit(str(e)) from e
     except MemoryError as e:

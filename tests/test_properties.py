@@ -329,30 +329,21 @@ def test_core_updates_without_chains_equal_the_solver_chains(problem):
         cores[n - 1] = new
 
 
-def suffix_operands(x, cores):
-    # x as data_sweep reads it, a (I_1...I_m, I_{m+1}...I_N) matrix, the
-    # chain of cores m+1..N as the matrix S of its first gemm, and the chain
-    m = split_mode(x.shape)
-    suffixes = [identity_chain(cores[0].shape[0])]
-    for c in reversed(cores[m:]):
-        suffixes.append(c if len(suffixes) == 1 else _merge(c, suffixes[-1]))
-    x_half = x.reshape(int(np.prod(x.shape[:m])), -1, order="F")
-    return x_half, suffixes[-1].transpose(1, 2, 0).reshape(x_half.shape[1], -1), suffixes
-
-
-def suffix_product(x_half, s):
-    # data_sweep's first gemm, x_half @ s formed transposed and laid out C-ordered
-    return np.ascontiguousarray((s.T @ x_half.T).T)
-
-
-def tensordot_sweep(x, cores):
+def tensordot_sweep(x, cores, transposed=True):
     # the sides of one data_sweep over x, with every partial carried past a
-    # core by np.tensordot: the formulation data_sweep's products replace
+    # core by np.tensordot: the formulation data_sweep's products replace.
+    # Its first gemm, x against the suffix chain as a matrix s, is formed
+    # as data_sweep forms it, transposed and laid out C-ordered, or, with
+    # transposed=False, in the plain order x_half @ s
     shape, order = x.shape, len(cores)
     m = split_mode(shape)
     r = cores[0].shape[0]
-    x_half, s, suffixes = suffix_operands(x, cores)
-    u = suffix_product(x_half, s)
+    suffixes = [identity_chain(r)]
+    for c in reversed(cores[m:]):
+        suffixes.append(c if len(suffixes) == 1 else _merge(c, suffixes[-1]))
+    x_half = x.reshape(int(np.prod(shape[:m])), -1, order="F")
+    s = suffixes[-1].transpose(1, 2, 0).reshape(x_half.shape[1], -1)
+    u = np.ascontiguousarray((s.T @ x_half.T).T) if transposed else x_half @ s
     partials = [u.reshape(shape[m - 1], -1, r, suffixes[-1].shape[0])]
     for n in range(m, 1, -1):
         u = np.tensordot(partials[-1], cores[n - 1], axes=([0, 3], [1, 2]))  # [j, r_1, r_n]
@@ -400,6 +391,11 @@ def test_sweep_products_equal_their_tensordot_form(problem):
             got_cores[n - 1] = want_cores[n - 1] = rng.standard_normal(cores[n - 1].shape)
 
 
+def plain_first_data_term(x, cores):
+    # core 1's data term with the first gemm in the plain order x_half @ s
+    return tensordot_data_term(*next(tensordot_sweep(x, cores, transposed=False)))
+
+
 # at ((2, 2, 4, 4), (2, 1, 1, 1), 0) the two orientations differ by 1.8e-15
 @example(((2, 2, 4, 4), (2, 1, 1, 1), 0))
 @example(((2, 2, 3, 2), (2, 3, 1, 2), 0))
@@ -408,25 +404,28 @@ def test_sweep_products_equal_their_tensordot_form(problem):
 @example(((50, 2, 2, 2), (2, 3, 2, 2), 4))
 @example(((2, 2, 2, 50), (2, 3, 2, 2), 5))
 @given(ring_problems())
-def test_transposed_suffix_product_is_the_plain_product(problem):
-    # the transposed first gemm sums in another order than x_half @ s: each
-    # entry within 1e-13 of the sum of its terms' magnitudes
+def test_sweep_first_data_term_is_the_plain_orders(problem):
+    # data_sweep's transposed first gemm sums in another order than
+    # x_half @ s: core 1's data term, which every partial of the first half
+    # carries, is within 1e-13 of the sum of its terms' magnitudes
     cores, x = ring_instance(problem)
     for xl in layouts(x):
-        x_half, s, _ = suffix_operands(xl, cores)
-        got, want = suffix_product(x_half, s), x_half @ s
-        assert got.shape == want.shape and got.flags.c_contiguous
-        assert (np.abs(got - want) <= 1e-13 * (np.abs(x_half) @ np.abs(s))).all()
+        got, want = next(data_sweep(xl, list(cores)))[0], plain_first_data_term(xl, cores)
+        bound = plain_first_data_term(np.abs(xl), [np.abs(c) for c in cores])
+        assert got.shape == want.shape
+        assert (np.abs(got - want) <= 1e-13 * bound).all()
 
 
 @pytest.mark.parametrize("shape,rank", [((6,) * 8, 3), ((10,) * 4, 6)])
-def test_transposed_suffix_product_keeps_the_bits_at_benchmark_shapes(shape, rank):
-    # the first gemm of the 6^8 and 10^4 benchmark solves, x Fortran-ordered
-    # as a solver holds it: both orientations give the same bits there
+def test_sweep_first_data_term_keeps_the_plain_bits_at_benchmark_shapes(shape, rank):
+    # the 6^8 and 10^4 benchmark solves' first sweep, x Fortran-ordered as
+    # a solver holds it: there both orders of the first gemm give the same
+    # bits, with the numpy/OpenBLAS build the bits were checked on (README,
+    # "Determinism")
     rng = np.random.default_rng(18)
     cores = [rng.standard_normal((rank, e, rank)) for e in shape]
-    x_half, s, _ = suffix_operands(np.asfortranarray(rng.standard_normal(shape)), cores)
-    assert same_bits(suffix_product(x_half, s), x_half @ s)
+    x = np.asfortranarray(rng.standard_normal(shape))
+    assert same_bits(next(data_sweep(x, list(cores)))[0], plain_first_data_term(x, cores))
 
 
 @st.composite

@@ -13,8 +13,9 @@ iteration of whole solves to tol on dense-order8's instance (6^8, rank 3,
 50% missing), the first whose reconstruction takes more than one column
 range, recorded before data_sweep formed its first gemm transposed and laid
 out its last prefix for the refill. Its bits depend on the BLAS thread
-count (README, "Determinism"), so those solves run, and are recorded, in a
-fresh interpreter at one OpenBLAS thread. JSON numbers are written with
+count (README, "Determinism"), so it is recorded at one OpenBLAS thread and
+checked by tests/test_solvers.py, whose order-8 solves run in a fresh
+interpreter at that count. JSON numbers are written with
 `repr`, so every float round trips exactly.
 The first three files also hold an `rse_history` per solve, from when the solvers
 scored every iteration against a truth; the solvers take no truth, so those
@@ -24,7 +25,7 @@ a given checkout (which writes the three histories the report still has):
     PYTHONPATH=src python tests/test_solver_histories.py criterion5
     PYTHONPATH=src python tests/test_solver_histories.py ends
     PYTHONPATH=src python tests/test_solver_histories.py long
-    PYTHONPATH=src python tests/test_solver_histories.py order8
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_solver_histories.py order8
 
 TO_TOL holds the iteration count and the RSE on the missing entries of
 whole solves to tol on the over-rank instance of criterion 7, where 20
@@ -34,8 +35,6 @@ eigendecomposition of each unfolding's Gram instead of its SVD.
 """
 
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -77,19 +76,9 @@ def _run(name, instance=CRITERION5, max_iters=ITERS):
     return {h: [float(v) for v in getattr(rep, h)] for h in HISTORIES}
 
 
-def _run_order8():
-    # both solvers on ORDER8, in a fresh interpreter at one OpenBLAS thread
-    src = str(Path(sys.modules["trtc"].__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, __file__, "order8-run"], env=env, check=True,
-                         capture_output=True, text=True, timeout=300)
-    return json.loads(out.stdout)
-
-
-def _check(now, recorded, iters=ITERS):
+def _check(now, recorded):
     for h in HISTORIES:
-        assert len(now[h]) == len(recorded[h]) == iters, h
+        assert len(now[h]) == len(recorded[h]) == ITERS, h
         np.testing.assert_allclose(now[h], recorded[h], rtol=1e-10, atol=0, err_msg=h)
 
 
@@ -108,16 +97,6 @@ def test_ring_end_histories_match_recorded_loop(name, instance):
 @pytest.mark.parametrize("name", sorted(SOLVERS))
 def test_long_ring_histories_match_recorded_loop(name, instance):
     _check(_run(name, LONG[instance]), json.loads(LONG_FIXTURE.read_text())[instance][name])
-
-
-@pytest.fixture(scope="module")
-def order8_histories():
-    return _run_order8()
-
-
-@pytest.mark.parametrize("name", sorted(SOLVERS))
-def test_order8_histories_match_recorded_loop(order8_histories, name):
-    _check(order8_histories[name], json.loads(ORDER8_FIXTURE.read_text())[name], iters=21)
 
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))
@@ -142,9 +121,7 @@ if __name__ == "__main__":
         record = {k: {name: _run(name, LONG[k]) for name in sorted(SOLVERS)} for k in sorted(LONG)}
         LONG_FIXTURE.write_text(json.dumps(record, indent=1) + "\n")
     elif sys.argv[1:] == ["order8"]:
-        ORDER8_FIXTURE.write_text(json.dumps(_run_order8(), indent=1) + "\n")
-    elif sys.argv[1:] == ["order8-run"]:
-        # the child _run_order8 starts: the histories as JSON on stdout
-        print(json.dumps({name: _run(name, ORDER8, ORDER8_ITERS) for name in sorted(SOLVERS)}))
+        record = {name: _run(name, ORDER8, ORDER8_ITERS) for name in sorted(SOLVERS)}
+        ORDER8_FIXTURE.write_text(json.dumps(record, indent=1) + "\n")
     else:
         sys.exit("usage: test_solver_histories.py criterion5|ends|long|order8")

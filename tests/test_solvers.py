@@ -1,6 +1,7 @@
 """Solver loop behavior: fixed points, schedules, recovery, failure modes."""
 
 import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -520,7 +521,7 @@ def test_order_six_instance_latent_tracks_overlapped():
 
 
 # solves dense-order8's instance (6^8, rank 3, 50% missing) with both models
-# and saves what the thread-count test compares
+# and saves what the order-8 tests compare
 _THREADED_SOLVES = """
 import sys
 import numpy as np
@@ -534,30 +535,52 @@ for name, solver in (("olrf", solve_olrf), ("llrf", solve_llrf)):
     out[name + "_iters"] = rep.iterations
     out[name + "_rel"] = rep.rel_change_history
     out[name + "_cons"] = rep.consistency_history
+    out[name + "_mu"] = rep.mu_history
     out[name + "_x"] = rep.final_x
 np.savez(sys.argv[1], **out)
 """
 
 
-def test_order8_solves_agree_across_blas_thread_counts(tmp_path):
-    # the bits of a 6^8 solve depend on the BLAS thread count, which fixes
-    # how the gemms split their sums; across counts they agree to rounding
+@pytest.fixture(scope="module")
+def order8_solves(tmp_path_factory):
+    # the solves at one and at two OpenBLAS threads, each in a fresh
+    # interpreter, since the thread count is fixed when numpy loads
     src = str(Path(trtc.solvers.__file__).resolve().parents[1])
-    runs = []
+    runs = {}
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        path = tmp_path / f"threads{threads}.npz"
+        path = tmp_path_factory.mktemp("order8") / f"threads{threads}.npz"
         subprocess.run([sys.executable, "-c", _THREADED_SOLVES, str(path)], env=env, check=True,
                        timeout=300)
-        runs.append(np.load(path))
-    one, two = runs
+        runs[threads] = np.load(path)
+    return runs
+
+
+def test_order8_solves_agree_across_blas_thread_counts(order8_solves):
+    # the bits of a 6^8 solve depend on the BLAS thread count, which fixes
+    # how the gemms split their sums; across counts they agree to rounding
+    one, two = order8_solves["1"], order8_solves["2"]
     for name, _ in SOLVERS:
         assert one[name + "_iters"] == two[name + "_iters"]
         for hist in ("_rel", "_cons"):
             np.testing.assert_allclose(two[name + hist], one[name + hist], rtol=1e-8, atol=0)
         x1, x2 = one[name + "_x"], two[name + "_x"]
         assert np.linalg.norm(x2 - x1) <= 1e-12 * np.linalg.norm(x1)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in SOLVERS])
+def test_order8_histories_match_recorded_loop(order8_solves, name):
+    # the one-thread solve against tests/solver_histories_order8.json, the
+    # first recorded solve whose reconstruction takes more than one column
+    # range (tests/test_solver_histories.py records it)
+    recorded = json.loads(Path(__file__).with_name("solver_histories_order8.json").read_text())[name]
+    one = order8_solves["1"]
+    assert one[name + "_iters"] == 21
+    for hist, key in (("_rel", "rel_change_history"), ("_cons", "consistency_history"),
+                      ("_mu", "mu_history")):
+        assert len(recorded[key]) == 21, key
+        np.testing.assert_allclose(one[name + hist], recorded[key], rtol=1e-10, atol=0, err_msg=key)
 
 
 @pytest.mark.parametrize("name,solver", SOLVERS)
