@@ -19,6 +19,7 @@ import argparse
 import csv
 import dataclasses
 import math
+import numbers
 import os
 import statistics
 import sys
@@ -41,6 +42,14 @@ def _check_missing_rate(rate):
     # written so that NaN fails the check
     if not 0.0 <= rate < 1.0:
         raise ValueError("missing rate must be in [0, 1)")
+
+
+def _check_count(value, name):
+    # SolverConfig's rule for max_iters: numpy integers pass, a float does not
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _check_solver(name):
@@ -184,8 +193,7 @@ def run_sweep(axis, grid, shape, gen_rank, missing_rate, lam, solver_names,
         raise ValueError(f"unknown sweep axis {axis!r}, expected one of {', '.join(SWEEP_AXES)}")
     for solver in solver_names:
         _check_solver(solver)
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    _check_count(repeats, "repeats")
     # every point's missing rate and solver configuration
     points = []
     for value in grid:
@@ -256,8 +264,7 @@ def run_bench(orders, extent, rank, rank_grid, rank_axis_order, solver, iters, s
     # checked before the first solve: with no timed iteration the warm-up
     # would be timed instead
     _check_solver(solver)
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
+    _check_count(iters, "iters")
     points = [("order", order, rank) for order in orders]
     points += [("rank", rank_axis_order, r) for r in rank_grid]
     # every point's configuration, checked before the first solve too

@@ -8,7 +8,6 @@ instances. Verdict lines show the measured numbers next to the thresholds.
 import time
 
 import numpy as np
-import pytest
 
 from trtc import (
     TRCores,
@@ -180,13 +179,11 @@ def test_criterion_04_core_update_optimality():
     assert worst["llrf"] < 1e-5
 
 
-def test_criterion_05_synthetic_recovery():
-    truth, mask = synth_instance((10, 10, 10, 10), (4, 5, 4, 5), 0.5, 0, std=0.5)
-    obs = np.where(mask, truth, np.nan)
+def test_criterion_05_synthetic_recovery(order4):
     results = {}
     ok = True
-    for name, solver in SOLVERS:
-        rep = solver(obs, mask, SolverConfig(tr_rank=(4, 5, 4, 5), seed=0))
+    for name, _ in SOLVERS:
+        truth, mask, rep = order4.solve(name, 0.5, 0, (4, 5, 4, 5), 10.0, 500)
         r = rse(rep.final_x, truth, "missing", mask)
         results[name] = (r, rep.iterations, rep.converged, rep.wall_time)
         ok = ok and rep.converged and rep.iterations <= 500 and r < 1e-2 and rep.wall_time < 60.0
@@ -217,24 +214,21 @@ def test_criterion_06_missing_rate_trend():
         assert sum(1 for a, b in zip(means, means[1:]) if b < a) <= 1, solver
 
 
-def _mean_rse(solver, rank, lam, repeats=3, missing=0.7, iters=4000):
+def _mean_rse(order4, name, rank, lam, repeats=3, missing=0.7, iters=4000):
     vals = []
     for j in range(repeats):
-        truth, mask = synth_instance((10, 10, 10, 10), (4, 5, 4, 5), missing, j, std=0.5)
-        obs = np.where(mask, truth, np.nan)
-        cfg = SolverConfig(tr_rank=rank, lam=lam, max_iters=iters, seed=j)
-        rep = solver(obs, mask, cfg)
+        truth, mask, rep = order4.solve(name, missing, j, rank, lam, iters)
         vals.append(rse(rep.final_x, truth, "missing", mask))
     return float(np.mean(vals))
 
 
-def test_criterion_07_rank_robustness():
+def test_criterion_07_rank_robustness(order4):
     ok = True
     details = []
     ratios = {}
-    for name, solver in SOLVERS:
-        at_true = _mean_rse(solver, (4, 5, 4, 5), 10.0)
-        at_six = _mean_rse(solver, (6, 6, 6, 6), 10.0)
+    for name, _ in SOLVERS:
+        at_true = _mean_rse(order4, name, (4, 5, 4, 5), 10.0)
+        at_six = _mean_rse(order4, name, (6, 6, 6, 6), 10.0)
         ratios[name] = at_six / at_true
         ok = ok and ratios[name] < 3.0
         details.append(f"{name} uniform-6/true {at_six:.2e}/{at_true:.2e} = {ratios[name]:.2f}")
@@ -243,12 +237,12 @@ def test_criterion_07_rank_robustness():
         assert ratio < 3.0, f"{name} ratio {ratio:.2f}"
 
 
-def test_criterion_08_lambda_robustness():
+def test_criterion_08_lambda_robustness(order4):
     ok = True
     details = []
     ratios = {}
-    for name, solver in SOLVERS:
-        means = [_mean_rse(solver, (4, 5, 4, 5), lam) for lam in (1.0, 10.0, 100.0)]
+    for name, _ in SOLVERS:
+        means = [_mean_rse(order4, name, (4, 5, 4, 5), lam) for lam in (1.0, 10.0, 100.0)]
         ratios[name] = max(means) / min(means)
         ok = ok and ratios[name] < 5.0
         details.append(

@@ -223,17 +223,10 @@ def test_complete_huge_lambda_exits_with_the_message_alone(tmp_path, capsys):
     assert not os.path.exists(f"{tmp_path}/mfit_completed.trtc")
 
 
-def test_complete_scores_only_the_final_tensor(tmp_path, monkeypatch):
-    calls = []
-    real_rse = trtc.solvers.rse
-
-    def counted_rse(*args, **kwargs):
-        calls.append(args)
-        return real_rse(*args, **kwargs)
-
+def test_complete_scores_only_the_final_tensor(tmp_path, spy):
     main(["synth", "--shape", "4,4,4", "--rank", "2,2,2", "--missing-rate", "0.3",
           "--seed", "2", "--out", f"{tmp_path}/r"])
-    monkeypatch.setattr(trtc.solvers, "rse", counted_rse)
+    calls = spy(trtc.solvers, "rse")
     main(["complete", "--in", f"{tmp_path}/r_observed.trtc",
           "--truth", f"{tmp_path}/r_truth.trtc", "--solver", "llrf",
           "--rank", "2,2,2", "--max-iters", "20", "--out", f"{tmp_path}/rfit"])
@@ -342,30 +335,36 @@ def test_sweep_unknown_axis_or_solver_fails_before_the_first_solve(monkeypatch, 
         run_sweep(axis, grid, (4, 4, 4), (2, 2, 2), 0.3, 10.0, solvers, repeats=1, seed=0)
 
 
-@pytest.mark.parametrize("axis,grid,message", [
-    pytest.param("missing-rate", [0.3, 1.0], r"missing rate must be in \[0, 1\)", id="rate"),
-    pytest.param("missing-rate", [0.3, float("nan")], r"missing rate must be in \[0, 1\)",
+@pytest.mark.parametrize("axis,grid,repeats,message", [
+    pytest.param("missing-rate", [0.3, 1.0], 2, r"missing rate must be in \[0, 1\)", id="rate"),
+    pytest.param("missing-rate", [0.3, float("nan")], 2, r"missing rate must be in \[0, 1\)",
                  id="rate-nan"),
-    pytest.param("lambda", [1.0, -1.0], "lam must be positive and finite", id="lambda"),
-    pytest.param("lambda", [1.0, float("nan")], "lam must be positive and finite", id="lambda-nan"),
-    pytest.param("rank", [2, 0], "ranks must be positive", id="rank"),
+    pytest.param("lambda", [1.0, -1.0], 2, "lam must be positive and finite", id="lambda"),
+    pytest.param("lambda", [1.0, float("nan")], 2, "lam must be positive and finite", id="lambda-nan"),
+    pytest.param("rank", [2, 0], 2, "ranks must be positive", id="rank"),
+    # SolverConfig's rule for a count: a float, even an integral one, is refused
+    pytest.param("lambda", [1.0], 2.5, r"repeats must be an integer, got 2\.5", id="float-repeats"),
+    pytest.param("lambda", [1.0], 2.0, r"repeats must be an integer, got 2\.0", id="integral-float-repeats"),
 ])
-def test_sweep_checks_every_point_before_the_first_solve(monkeypatch, axis, grid, message):
+def test_sweep_checks_every_point_before_the_first_solve(monkeypatch, axis, grid, repeats, message):
     monkeypatch.setitem(trtc.cli.SOLVERS, "olrf", no_solve)
+    monkeypatch.setattr(trtc.cli, "synth_instance", no_solve)
     with pytest.raises(ValueError, match=f"^{message}$"):
-        run_sweep(axis, grid, (4, 4, 4), (2, 2, 2), 0.3, 10.0, ["olrf"], repeats=2, seed=0)
+        run_sweep(axis, grid, (4, 4, 4), (2, 2, 2), 0.3, 10.0, ["olrf"], repeats=repeats, seed=0)
 
 
-@pytest.mark.parametrize("orders,rank_grid,message", [
-    pytest.param((3, 1), (2,), "TR-rank needs at least two entries", id="order"),
-    pytest.param((3,), (2, 0), "ranks must be positive", id="rank"),
-    pytest.param((3,), (2.5,), "rank 2.5 is not an integer", id="float-rank"),
+@pytest.mark.parametrize("orders,rank_grid,iters,message", [
+    pytest.param((3, 1), (2,), 1, "TR-rank needs at least two entries", id="order"),
+    pytest.param((3,), (2, 0), 1, "ranks must be positive", id="rank"),
+    pytest.param((3,), (2.5,), 1, "rank 2.5 is not an integer", id="float-rank"),
+    pytest.param((3,), (2,), 2.5, r"iters must be an integer, got 2\.5", id="float-iters"),
 ])
-def test_bench_checks_every_point_before_the_first_solve(monkeypatch, orders, rank_grid, message):
+def test_bench_checks_every_point_before_the_first_solve(monkeypatch, orders, rank_grid, iters, message):
     monkeypatch.setitem(trtc.cli.SOLVERS, "olrf", no_solve)
+    monkeypatch.setattr(trtc.cli, "synth_instance", no_solve)
     with pytest.raises(ValueError, match=f"^{message}$"):
         run_bench(orders=orders, extent=4, rank=2, rank_grid=rank_grid,
-                  rank_axis_order=3, solver="olrf", iters=1, seed=0)
+                  rank_axis_order=3, solver="olrf", iters=iters, seed=0)
 
 
 def test_bench_unknown_solver_fails_before_any_work(monkeypatch):

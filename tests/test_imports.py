@@ -63,15 +63,6 @@ def unread_imports(module):
     return bound - read - exported
 
 
-def tracer_wrapped():
-    # the (module, attribute) pairs the benchmark's tracer rebinds, read
-    # from the WRAPPED table of perfbench/tracing.py
-    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text())
-    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
-                 and any(getattr(t, "id", None) == "WRAPPED" for t in node.targets))
-    return {(entry.elts[0].value, entry.elts[1].value) for entry in table.elts}
-
-
 def test_ring_owns_the_sweep_layout():
     # the sweep's sides, transfer matrices and products stay inside trtc.ring:
     # the core update reads only the plain references, and the loop only the
@@ -80,11 +71,10 @@ def test_ring_owns_the_sweep_layout():
     assert not imported_names("solvers", "ring") & {"transfer", "transfer_gram"}
 
 
-def test_unread_imports_are_only_the_tracers():
+def test_unread_imports_are_only_the_tracers(tracer_wrapped):
     # a module-level import that the module never reads is dead, unless the
     # tracer rebinds that name in that module (trtc.prox.gamma_fold and
     # trtc.prox.subchain_gram)
-    wrapped = tracer_wrapped()
     for path in sorted(Path(trtc.__file__).parent.glob("*.py")):
         name = "trtc" if path.stem == "__init__" else f"trtc.{path.stem}"
-        assert {(name, attr) for attr in unread_imports(path.stem)} <= wrapped, name
+        assert {(name, attr) for attr in unread_imports(path.stem)} <= tracer_wrapped, name

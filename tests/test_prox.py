@@ -163,7 +163,7 @@ def test_svt_takes_the_svd_where_a_finite_gram_overflows(shape, beta):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("beta", [1e-10, 1.0, 1e154])
-def test_svt_routes_each_matrix_of_a_stack_alone(monkeypatch, beta):
+def test_svt_routes_each_matrix_of_a_stack_alone(spy, beta):
     # one matrix on the Gram route (s_max = 1.2 beta, whose Gram is finite
     # even at beta = 1e154), one beyond the squaring guard (s_max / beta =
     # 1e5) and one whose Gram overflows: the last two take the SVD together,
@@ -176,11 +176,9 @@ def test_svt_routes_each_matrix_of_a_stack_alone(monkeypatch, beta):
     a *= np.array([1.2 * beta, 1e5 * beta, 1e200])[:, None, None]
     gram_route = svt(a[0], beta)
     routes = [_svd_svt(a[1], beta), _svd_svt(a[2], beta)]
-    seen = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: seen.append(len(m)) or svd(m, **kw))
+    calls = spy(np.linalg, "svd")
     res = svt(a, beta)
-    assert seen == [2]
+    assert [len(call.args[0]) for call in calls] == [2]
     assert res.matrix[0].tobytes() == gram_route.matrix.tobytes()
     for got, (matrix, _) in zip(res.matrix[1:], routes):
         assert got.tobytes() == matrix.tobytes()
@@ -188,7 +186,7 @@ def test_svt_routes_each_matrix_of_a_stack_alone(monkeypatch, beta):
 
 
 @pytest.mark.parametrize("ratio,through_svd", [(0.999e4, 0), (1.001e4, 1), (np.inf, 3)])
-def test_svt_takes_the_svd_only_beyond_the_squaring_guard(monkeypatch, ratio, through_svd):
+def test_svt_takes_the_svd_only_beyond_the_squaring_guard(spy, ratio, through_svd):
     # the Gram route squares the singular values; a matrix whose s_max / beta
     # is above 1e4 (all of them at beta = 0) takes the SVD, alone
     rng = np.random.default_rng(14)
@@ -198,11 +196,9 @@ def test_svt_takes_the_svd_only_beyond_the_squaring_guard(monkeypatch, ratio, th
     for aj in a:
         u, s, vt = np.linalg.svd(aj, full_matrices=False)
         want.append((u * np.maximum(s - beta, 0.0)) @ vt)
-    seen = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: seen.append(len(m)) or svd(m, **kw))
+    calls = spy(np.linalg, "svd")
     res = svt(a, beta)
-    assert sum(seen) == through_svd
+    assert sum(len(call.args[0]) for call in calls) == through_svd
     np.testing.assert_allclose(res.matrix, want, rtol=0, atol=1e-12 * np.abs(a).max())
     assert res.effective_rank == 15
 
@@ -300,7 +296,7 @@ def test_core_update_rejects_malformed_state(model, case):
 
 
 @pytest.mark.parametrize("model", ["olrf", "llrf"])
-def test_core_update_of_caller_state_goes_through_ridge_solve(monkeypatch, model):
+def test_core_update_of_caller_state_goes_through_ridge_solve(spy, model):
     # without a sweep's sides the system is built from the caller's own
     # state, so it is solved by the checked ridge_solve: one call per
     # update, and a system that is not positive definite or not finite is
@@ -316,15 +312,13 @@ def test_core_update_of_caller_state_goes_through_ridge_solve(monkeypatch, model
             return core_update_olrf(x, cores, aux, duals, n, lam, 2.0)
         return core_update_llrf(x, cores, aux, duals[0], n, lam, 2.0)
 
-    systems = []
-    ridge = trtc.prox.ridge_solve
-    monkeypatch.setattr(trtc.prox, "ridge_solve", lambda b, a: systems.append(a) or ridge(b, a))
+    systems = spy(trtc.prox, "ridge_solve")
     update(x, 10.0)
     assert len(systems) == 1
     # the system is 10 * Gram + k * mu * I with k * mu <= 6; above 12, its
     # top eigenvalue has 10 times the Gram's outweigh the ridge, so at
     # lam = -10 the system is indefinite
-    assert np.linalg.eigvalsh(systems[0]).max() > 12.0
+    assert np.linalg.eigvalsh(systems[0].args[1]).max() > 12.0
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
         update(x, -10.0)
     bad = x.copy()
@@ -334,7 +328,7 @@ def test_core_update_of_caller_state_goes_through_ridge_solve(monkeypatch, model
     assert len(systems) == 3
 
 
-def test_checked_core_update_shares_no_gram_code_with_the_sweep(monkeypatch):
+def test_checked_core_update_shares_no_gram_code_with_the_sweep(monkeypatch, spy):
     # the dense reference the loop's core updates are checked against
     # forms its Gram without the transfer products a data sweep reads, and
     # a checked call validates the ring once and merges one dense subchain,
@@ -343,31 +337,23 @@ def test_checked_core_update_shares_no_gram_code_with_the_sweep(monkeypatch):
     shape, ranks = (3, 2, 4, 2, 3), (2, 3, 1, 2, 2)
     cores = [rng.standard_normal((ranks[i], shape[i], ranks[(i + 1) % 5])) for i in range(5)]
     x = rng.standard_normal(shape)
-    calls = []
 
     def forbidden(*args):
         raise AssertionError("the dense reference reads a transfer product")
 
-    def counted(name, fn):
-        def wrapped(*args):
-            calls.append(name)
-            return fn(*args)
-        return wrapped
-
     monkeypatch.setattr(trtc.ring, "transfer", forbidden)
     monkeypatch.setattr(trtc.ring, "transfer_gram", forbidden)
-    monkeypatch.setattr(trtc.ring, "_merge", counted("merge", trtc.ring._merge))
-    monkeypatch.setattr(trtc.ring.TRCores, "__post_init__", counted("check", trtc.ring.TRCores.__post_init__))
-    for module in (trtc.prox, trtc.ring):
-        monkeypatch.setattr(module, "subchain_gram", counted("gram", module.subchain_gram))
+    records = {"merge": spy(trtc.ring, "_merge"), "check": spy(trtc.ring.TRCores, "__post_init__"),
+               "gram": spy((trtc.prox, trtc.ring), "subchain_gram")}
     for n in range(1, 6):
         aux, duals = rng.standard_normal((2, 3) + cores[n - 1].shape)
         for call in (lambda: core_update_olrf(x, cores, aux, duals, n, 10.0, 2.0),
                      lambda: core_update_llrf(x, cores, aux, duals[0], n, 10.0, 2.0),
                      lambda: trtc.ring.eq2_residual(cores, x, n)):
-            calls.clear()
+            for record in records.values():
+                record.clear()
             call()
-            assert sorted(calls) == ["check"] + ["merge"] * 3
+            assert {key: len(record) for key, record in records.items()} == {"merge": 3, "check": 1, "gram": 0}
     assert subchain_gram(cores, 1).shape == (ranks[0] * ranks[1],) * 2
 
 

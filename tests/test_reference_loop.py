@@ -102,12 +102,10 @@ def test_loop_follows_the_reference_for_20_iterations(instance):
 
 
 @pytest.mark.parametrize("name,iters", [("olrf", 1220), ("llrf", 581)])
-def test_loop_reaches_tol_with_the_reference(name, iters):
-    # criterion 7's over-rank instance: uniform rank 6 against rank (4, 5, 4, 5)
-    truth, mask = synth_instance((10, 10, 10, 10), (4, 5, 4, 5), 0.7, 0, std=0.5)
-    observed = np.where(mask, truth, np.nan)
-    cfg = SolverConfig(tr_rank=(6,) * 4, max_iters=4000, seed=0)
-    rep = _solve(name, observed, mask, cfg)
-    rels, _, stop, x = reference(name, observed, mask, cfg)
+def test_loop_reaches_tol_with_the_reference(order4, name, iters):
+    # criterion 7's over-rank solve: uniform rank 6 against rank (4, 5, 4, 5)
+    _, mask, rep = order4.solve(name, 0.7, 0, (6,) * 4, 10.0, 4000)
+    _, _, observed = order4.instance(0.7, 0)
+    rels, _, stop, x = reference(name, observed, mask, SolverConfig(tr_rank=(6,) * 4, max_iters=4000, seed=0))
     assert (rep.stop_reason, rep.iterations, len(rels)) == (stop, iters, iters)
     assert np.linalg.norm(rep.final_x - x) <= 1e-12 * np.linalg.norm(x)

@@ -61,9 +61,8 @@ LONG = {"order6": ((3, 2, 3, 2, 3, 2), (2,) * 6, 0.5, 1.0)}
 # solved to tol (21 iterations) at the benchmark's iteration limit
 ORDER8 = ((6,) * 8, (3,) * 8, 0.5, 0.5)
 ORDER8_ITERS = 500
-# solved at rank 6, above the generator's rank, so every SVT truncates:
-# (iterations, rse_missing) at the default tol
-OVERRANK = ((10, 10, 10, 10), (4, 5, 4, 5), 0.7, 0.5)
+# criterion 7's over-rank solves, at rank 6 above the generator's rank, so
+# every SVT truncates: (iterations, rse_missing) at the default tol
 TO_TOL = {"olrf": (1220, 0.0046878406555043856), "llrf": (581, 0.0018342989972203883)}
 
 
@@ -100,11 +99,8 @@ def test_long_ring_histories_match_recorded_loop(name, instance):
 
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))
-def test_overrank_solve_to_tol_matches_recorded_loop(name):
-    shape, rank, missing_rate, std = OVERRANK
-    truth, mask = synth_instance(shape, rank, missing_rate, 0, std=std)
-    cfg = SolverConfig(tr_rank=(6,) * 4, seed=0, max_iters=4000)
-    rep = SOLVERS[name](np.where(mask, truth, np.nan), mask, cfg)
+def test_overrank_solve_to_tol_matches_recorded_loop(order4, name):
+    truth, mask, rep = order4.solve(name, 0.7, 0, (6,) * 4, 10.0, 4000)
     iters, want = TO_TOL[name]
     assert rep.converged and rep.iterations == iters
     np.testing.assert_allclose(rse(rep.final_x, truth, "missing", mask), want, rtol=1e-9, atol=0)

@@ -1,6 +1,5 @@
 """Solver loop behavior: fixed points, schedules, recovery, failure modes."""
 
-import importlib.util
 import json
 import math
 import os
@@ -31,11 +30,6 @@ from trtc.solvers import _checked_truth, _validate, init_state
 from trtc.cli import synth_instance
 
 SOLVERS = [("olrf", solve_olrf), ("llrf", solve_llrf)]
-
-
-def order4_instance(missing_rate=0.5, seed=0):
-    truth, mask = synth_instance((10, 10, 10, 10), (4, 5, 4, 5), missing_rate, seed, std=0.5)
-    return truth, mask, np.where(mask, truth, np.nan)
 
 
 def test_config_defaults_and_coercion():
@@ -114,8 +108,8 @@ def test_rse_missing_scope():
     assert rse(est, truth, "missing", np.ones_like(mask)) == rse(est, truth, "all")
 
 
-def test_init_state_contract():
-    _, mask, _ = order4_instance()
+def test_init_state_contract(order4):
+    _, mask, _ = order4.instance(0.5, 0)
     cfg = SolverConfig(tr_rank=(4, 5, 4, 5), seed=3)
     cores1, groups1 = init_state(mask.shape, cfg, "olrf")
     cores2, _ = init_state(mask.shape, cfg, "olrf")
@@ -138,11 +132,11 @@ def test_init_state_contract():
     assert not np.array_equal(cores1[0], cores4[0])
 
 
-def test_validate_contract():
+def test_validate_contract(order4):
     # x is Fortran-ordered, so the refill can write through its
     # first-index-fastest flat view; it is the observed entries bit for bit
     # and 0 off the mask, whatever marks the missing entries there
-    truth, mask, obs = order4_instance()
+    truth, mask, obs = order4.instance(0.5, 0)
     x, checked_mask, obs_norm = _validate(obs, mask, SolverConfig(tr_rank=(4, 5, 4, 5)))
     assert x.flags.f_contiguous and x.dtype == np.float64
     np.testing.assert_array_equal(checked_mask, mask)
@@ -161,14 +155,14 @@ def test_validate_contract():
     pytest.param(lambda o, m: np.where(m, 0.0, np.nan), lambda m: m, (4, 5, 4),
                  "observed entries are all zero", id="zero-then-rank"),
 ])
-def test_validate_reports_the_earlier_of_two_faults(observed, mask, rank, message):
-    _, m, obs = order4_instance()
+def test_validate_reports_the_earlier_of_two_faults(order4, observed, mask, rank, message):
+    _, m, obs = order4.instance(0.5, 0)
     with pytest.raises(ValueError, match=f"^{message}$"):
         _validate(observed(obs, m), mask(m), SolverConfig(tr_rank=rank))
 
 
-def test_input_validation(monkeypatch):
-    truth, mask, obs = order4_instance()
+def test_input_validation(monkeypatch, order4):
+    truth, mask, obs = order4.instance(0.5, 0)
     with pytest.raises(ValueError):
         solve_olrf(obs, np.zeros_like(mask), SolverConfig(tr_rank=(4, 5, 4, 5)))
     with pytest.raises(ValueError):
@@ -222,19 +216,19 @@ BAD_TRUTHS = [
 
 
 @pytest.mark.parametrize("bad,message", BAD_TRUTHS)
-def test_checked_truth_names_what_cannot_score(bad, message):
-    truth, mask, _ = order4_instance()
+def test_checked_truth_names_what_cannot_score(order4, bad, message):
+    truth, mask, _ = order4.instance(0.5, 0)
     with pytest.raises(ValueError, match=message):
         _checked_truth(bad(truth, mask), mask)
 
 
 @pytest.mark.parametrize("bad,message", BAD_TRUTHS)
 @pytest.mark.parametrize("name,solver", SOLVERS)
-def test_truth_checked_before_the_first_iteration(tmp_path, monkeypatch, name, solver, bad, message):
+def test_truth_checked_before_the_first_iteration(tmp_path, monkeypatch, order4, name, solver, bad, message):
     # the solvers take no truth; trtc complete, which scores the final
     # tensor with one, rejects a truth that cannot score it before the
     # solve and writes no file (a NaN truth is rejected as it is read)
-    truth, mask, obs = order4_instance()
+    truth, mask, obs = order4.instance(0.5, 0)
     bad_truth = bad(truth, mask)
     write_tensor(obs, tmp_path / "obs.trtc")
     write_tensor(bad_truth, tmp_path / "truth.trtc")
@@ -267,8 +261,8 @@ def test_fully_observed_fixed_point(name, solver):
 
 
 @pytest.mark.parametrize("name,solver", SOLVERS)
-def test_huge_tol_stops_after_one_iteration(name, solver):
-    truth, mask, obs = order4_instance()
+def test_huge_tol_stops_after_one_iteration(order4, name, solver):
+    truth, mask, obs = order4.instance(0.5, 0)
     cfg = SolverConfig(tr_rank=(4, 5, 4, 5), tol=1e9)
     rep = solver(obs, mask, cfg)
     assert rep.iterations == 1
@@ -314,8 +308,8 @@ def test_stop_reason_tells_a_collapse_from_the_iteration_limit(name, solver, ite
 
 
 @pytest.mark.parametrize("name,solver", SOLVERS)
-def test_observed_entries_pinned_bitwise(name, solver):
-    truth, mask, obs = order4_instance()
+def test_observed_entries_pinned_bitwise(order4, name, solver):
+    truth, mask, obs = order4.instance(0.5, 0)
     rep = solver(obs, mask, SolverConfig(tr_rank=(4, 5, 4, 5), max_iters=20))
     np.testing.assert_array_equal(rep.final_x[mask], truth[mask])
 
@@ -379,7 +373,7 @@ def report_bytes(rep):
 
 @pytest.mark.parametrize("shape,rank,missing_rate,tweak,stop", REFILL_CASES)
 @pytest.mark.parametrize("name,solver", SOLVERS)
-def test_blocked_refill_is_the_one_block_refill(monkeypatch, name, solver, shape, rank,
+def test_blocked_refill_is_the_one_block_refill(monkeypatch, spy, name, solver, shape, rank,
                                                 missing_rate, tweak, stop):
     # the reconstruction is formed and refilled in column ranges; a plan of
     # two-column ranges (_BLOCK of one entry) and a plan of one range give
@@ -391,20 +385,13 @@ def test_blocked_refill_is_the_one_block_refill(monkeypatch, name, solver, shape
         truth, mask = tweak(truth, mask)
     obs = np.where(mask, truth, np.nan)
     cfg = SolverConfig(tr_rank=rank, max_iters=60, seed=0)
-    contract = trtc.solvers._trace_contract
-    calls = []
-
-    def counted(prefix, suffix):
-        calls.append(suffix.shape[1])
-        return contract(prefix, suffix)
-
-    monkeypatch.setattr(trtc.solvers, "_trace_contract", counted)
+    calls = spy(trtc.solvers, "_trace_contract")
     reports, widths = [], []
     for block in (1, 2 ** 62):
         monkeypatch.setattr(trtc.solvers, "_BLOCK", block)
         calls.clear()
         reports.append(solver(obs, mask, cfg))
-        widths.append(list(calls))
+        widths.append([call.args[1].shape[1] for call in calls])
     small, whole = reports
     assert report_bytes(small) == report_bytes(whole)
     np.testing.assert_allclose(small.rel_change_history, whole.rel_change_history, rtol=1e-14)
@@ -449,11 +436,9 @@ def test_loop_memory_stays_below_two_and_a_half_tensors(name, solver):
 
 
 @pytest.mark.parametrize("name,solver", SOLVERS)
-def test_synthetic_recovery_and_consistency(name, solver):
+def test_synthetic_recovery_and_consistency(order4, name, solver):
     # half the entries removed, solved at the generating rank
-    truth, mask, obs = order4_instance(0.5, 0)
-    cfg = SolverConfig(tr_rank=(4, 5, 4, 5), seed=0)
-    rep = solver(obs, mask, cfg)
+    truth, mask, rep = order4.solve(name, 0.5, 0, (4, 5, 4, 5), 10.0, 500)
     assert rep.converged and rep.iterations <= 500
     assert rep.stop_reason == "tol"
     assert rse(rep.final_x, truth, "missing", mask) < 1e-2
@@ -469,8 +454,22 @@ def test_synthetic_recovery_and_consistency(name, solver):
         assert mus[-1] == 100.0
 
 
-def test_report_histories_without_truth():
-    truth, mask, obs = order4_instance()
+def test_cached_protocol_solve_is_the_fresh_solve(order4):
+    # the session's cache hands out the solve a test would make itself, and
+    # no test can write into what the others read
+    truth, mask, cached = order4.solve("llrf", 0.5, 0, (4, 5, 4, 5), 10.0, 500)
+    fresh = solve_llrf(np.where(mask, truth, np.nan), mask, SolverConfig(tr_rank=(4, 5, 4, 5), seed=0))
+    assert fresh.final_x.tobytes() == cached.final_x.tobytes()
+    for h in ("rel_change_history", "consistency_history", "mu_history"):
+        assert getattr(fresh, h) == getattr(cached, h), h
+    assert (fresh.iterations, fresh.stop_reason) == (cached.iterations, cached.stop_reason) == (113, "tol")
+    for a in (truth, mask, cached.final_x):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0, 0, 0] = a[0, 0, 0, 0]
+
+
+def test_report_histories_without_truth(order4):
+    truth, mask, obs = order4.instance(0.5, 0)
     rep = solve_llrf(obs, mask, SolverConfig(tr_rank=(4, 5, 4, 5), max_iters=5))
     assert len(rep.rel_change_history) == 5
     assert len(rep.iter_times) == 5
@@ -584,7 +583,7 @@ def test_order8_histories_match_recorded_loop(order8_solves, name):
 
 
 @pytest.mark.parametrize("name,solver", SOLVERS)
-def test_sweep_merges_only_prefix_and_suffix_chains(monkeypatch, name, solver):
+def test_sweep_merges_only_prefix_and_suffix_chains(spy, name, solver):
     # the ring is split at m = split_mode(shape): the first sweep builds the
     # suffix chains of cores m+1..N (N-m-1 merges), and per iteration the
     # prefix of cores 1..m takes m-1 merges and the new suffix chains N-m-1,
@@ -596,39 +595,19 @@ def test_sweep_merges_only_prefix_and_suffix_chains(monkeypatch, name, solver):
     m = split_mode(shape)
     truth, mask = synth_instance(shape, (2,) * order, 0.5, 0, std=0.5)
     longest = max(int(np.prod(shape[:m])), int(np.prod(shape[m:])))
-    merges, unfolds = [], []
-
-    def counted(calls, fn):
-        def wrapped(*args):
-            out = fn(*args)
-            calls.append(out)
-            return out
-        return wrapped
-
-    for module in (trtc.solvers, trtc.ring):
-        monkeypatch.setattr(module, "_merge", counted(merges, module._merge))
-    for module in (trtc.tensors, trtc.ring, trtc.prox, trtc.solvers):
-        if hasattr(module, "delta_unfold"):
-            monkeypatch.setattr(module, "delta_unfold", counted(unfolds, module.delta_unfold))
+    merges = spy((trtc.solvers, trtc.ring), "_merge")
+    unfolds = spy(tuple(module for module in (trtc.tensors, trtc.ring, trtc.prox, trtc.solvers)
+                        if hasattr(module, "delta_unfold")), "delta_unfold")
     rep = solver(np.where(mask, truth, np.nan), mask,
                  SolverConfig(tr_rank=(2,) * order, tol=1e-300, max_iters=iters, seed=0))
     assert rep.iterations == iters
     assert len(merges) == (order - m - 1) + iters * (order - 2)
-    assert max(c.shape[1] for c in merges) <= longest
+    assert max(call.result.shape[1] for call in merges) <= longest
     assert unfolds == []
 
 
-def traced_solver_names():
-    # the trtc.solvers attributes that the benchmark's tracer wraps
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return {attr for module, attr, _, _ in tracing.WRAPPED if module == "trtc.solvers"}
-
-
 @pytest.mark.parametrize("name,solver", SOLVERS)
-def test_loop_merges_and_contractions_go_through_the_solver_module(monkeypatch, name, solver):
+def test_loop_merges_and_contractions_go_through_the_solver_module(spy, tracer_wrapped, name, solver):
     # the benchmark's per-layer metrics count the calls through the
     # trtc.solvers attributes its tracer wraps: every one the loop makes
     # must pass there. Per iteration, one core update per core, three SVTs
@@ -650,27 +629,17 @@ def test_loop_merges_and_contractions_go_through_the_solver_module(monkeypatch, 
         "_trace_contract": iters,
         "_validate": 1,
     }
-    assert set(expected) == traced_solver_names()
-    calls = dict.fromkeys(expected, 0)
-
-    def counted(attr):
-        fn = getattr(trtc.solvers, attr)
-
-        def wrapped(*args, **kwargs):
-            calls[attr] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    for attr in calls:
-        monkeypatch.setattr(trtc.solvers, attr, counted(attr))
+    # the trtc.solvers attributes that the benchmark's tracer wraps
+    assert set(expected) == {attr for module, attr in tracer_wrapped if module == "trtc.solvers"}
+    calls = {attr: spy(trtc.solvers, attr) for attr in expected}
     rep = solver(np.where(mask, truth, np.nan), mask,
                  SolverConfig(tr_rank=(2,) * order, tol=1e-300, max_iters=iters, seed=0))
     assert rep.iterations == iters
-    assert calls == expected
+    assert {attr: len(record) for attr, record in calls.items()} == expected
 
 
 @pytest.mark.parametrize("name,solver", SOLVERS)
-def test_loop_kernel_budget(monkeypatch, name, solver):
+def test_loop_kernel_budget(spy, name, solver):
     # the loop's system lam * Q Q^T + k * mu * I is positive definite by
     # construction (k * mu >= 1), so each core update is one bare solve,
     # with no Cholesky factor and no ridge_solve; per iteration, one solve
@@ -678,28 +647,17 @@ def test_loop_kernel_budget(monkeypatch, name, solver):
     shape = (3, 2, 3, 2, 3, 2)
     order, iters, shapes = len(shape), 2, 2
     truth, mask = synth_instance(shape, (2,) * order, 0.5, 0, std=0.5)
-    calls = {}
-
-    def count(module, attr):
-        fn = getattr(module, attr)
-        calls[attr] = 0
-
-        def wrapped(*args, **kwargs):
-            calls[attr] += 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(module, attr, wrapped)
-
-    for attr in ("cholesky", "solve", "eigh"):
-        count(np.linalg, attr)
-    count(trtc.prox, "ridge_solve")
+    calls = {attr: spy(np.linalg, attr) for attr in ("cholesky", "solve", "eigh")}
+    calls["ridge_solve"] = spy(trtc.prox, "ridge_solve")
     rep = solver(np.where(mask, truth, np.nan), mask,
                  SolverConfig(tr_rank=(2,) * order, tol=1e-300, max_iters=iters, seed=0))
     assert rep.iterations == iters
-    assert calls == {"cholesky": 0, "ridge_solve": 0, "solve": iters * order, "eigh": iters * 3 * shapes}
+    assert {attr: len(record) for attr, record in calls.items()} == {
+        "cholesky": 0, "ridge_solve": 0, "solve": iters * order, "eigh": iters * 3 * shapes}
 
 
 @pytest.mark.parametrize("name,solver", SOLVERS)
-def test_sweep_carries_transfer_matrices(monkeypatch, name, solver):
+def test_sweep_carries_transfer_matrices(spy, name, solver):
     # one transfer matrix per core before the first sweep and one per core
     # update after it; the data sweep reads the Gram from the transfer
     # products it holds and never rebuilds it through subchain_gram, nor
@@ -707,18 +665,9 @@ def test_sweep_carries_transfer_matrices(monkeypatch, name, solver):
     shape = (3, 2, 3, 2, 3, 2)
     order, iters = len(shape), 2
     truth, mask = synth_instance(shape, (2,) * order, 0.5, 0, std=0.5)
-    transfers, grams, chains = [], [], []
-
-    def counted(calls, fn):
-        def wrapped(*args):
-            calls.append(args)
-            return fn(*args)
-        return wrapped
-
-    monkeypatch.setattr(trtc.ring, "transfer", counted(transfers, trtc.ring.transfer))
-    for module in (trtc.prox, trtc.ring):
-        monkeypatch.setattr(module, "subchain_gram", counted(grams, module.subchain_gram))
-        monkeypatch.setattr(module, "_subchain", counted(chains, module._subchain))
+    transfers = spy(trtc.ring, "transfer")
+    grams = spy((trtc.prox, trtc.ring), "subchain_gram")
+    chains = spy((trtc.prox, trtc.ring), "_subchain")
     rep = solver(np.where(mask, truth, np.nan), mask,
                  SolverConfig(tr_rank=(2,) * order, tol=1e-300, max_iters=iters, seed=0))
     assert rep.iterations == iters
@@ -732,46 +681,35 @@ def test_sweep_carries_transfer_matrices(monkeypatch, name, solver):
     pytest.param((5, 8, 5, 8, 4, 2, 2), (3,) * 7, 4, id="reshape7"),
 ])
 @pytest.mark.parametrize("name,solver", SOLVERS)
-def test_one_svt_per_unfolding_and_core_shape(monkeypatch, name, solver, shape, rank, groups):
+def test_one_svt_per_unfolding_and_core_shape(spy, name, solver, shape, rank, groups):
     # the cores of one shape (R_n, I_n, R_{n+1}) are thresholded together:
     # per iteration, three stacked SVTs per shape, every core in one stack
     # per unfolding
     order, iters = len(shape), 2
     truth, mask = synth_instance(shape, rank, 0.5, 0, std=0.5)
-    stacked = []
-    svt = trtc.solvers.svt
-
-    def counted(a, beta):
-        stacked.append(len(a))
-        return svt(a, beta)
-
-    monkeypatch.setattr(trtc.solvers, "svt", counted)
+    calls = spy(trtc.solvers, "svt")
     rep = solver(np.where(mask, truth, np.nan), mask,
                  SolverConfig(tr_rank=rank, tol=1e-300, max_iters=iters, seed=0))
     assert rep.iterations == iters
+    stacked = [len(call.args[0]) for call in calls]
     assert len(stacked) == 3 * groups * iters
     assert sum(stacked) == 3 * order * iters
 
 
-def test_lambda_choices_all_recover():
+def test_lambda_choices_all_recover(order4):
     # insensitive to the data-term weight across two orders of magnitude
-    truth, mask = synth_instance((10, 10, 10, 10), (4, 5, 4, 5), 0.7, 0, std=0.5)
-    obs = np.where(mask, truth, np.nan)
     for lam in (1.0, 10.0, 100.0):
-        for name, solver in SOLVERS:
-            cfg = SolverConfig(tr_rank=(4, 5, 4, 5), lam=lam, max_iters=4000, seed=0)
-            rep = solver(obs, mask, cfg)
+        for name, _ in SOLVERS:
+            truth, mask, rep = order4.solve(name, 0.7, 0, (4, 5, 4, 5), lam, 4000)
             r = rse(rep.final_x, truth, "missing", mask)
             assert r < 5e-2, f"{name} lam={lam}: rse {r:.3e}"
 
 
-def test_overspecified_uniform_rank_stays_close():
+def test_overspecified_uniform_rank_stays_close(order4):
     # uniform rank 6 vs the generating rank, single repeat
-    truth, mask = synth_instance((10, 10, 10, 10), (4, 5, 4, 5), 0.7, 0, std=0.5)
-    obs = np.where(mask, truth, np.nan)
-    for name, solver in SOLVERS:
-        base = solver(obs, mask, SolverConfig(tr_rank=(4, 5, 4, 5), max_iters=4000, seed=0))
-        over = solver(obs, mask, SolverConfig(tr_rank=(6, 6, 6, 6), max_iters=4000, seed=0))
+    for name, _ in SOLVERS:
+        truth, mask, base = order4.solve(name, 0.7, 0, (4, 5, 4, 5), 10.0, 4000)
+        _, _, over = order4.solve(name, 0.7, 0, (6, 6, 6, 6), 10.0, 4000)
         r_base = rse(base.final_x, truth, "missing", mask)
         r_over = rse(over.final_x, truth, "missing", mask)
         assert r_over < 3.0 * r_base, f"{name}: {r_over:.3e} vs {r_base:.3e}"
